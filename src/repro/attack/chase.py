@@ -55,14 +55,19 @@ class BufferMonitor:
         for es in self.alt_blocks.values():
             es.prime()
 
-    def clock_active(self) -> bool:
-        """Probe block 0 of both halves; True if either saw a miss."""
+    @property
+    def clock_sweep(self) -> SetSweep:
+        """The clock probe: block 0 of both halves as one batched sweep."""
         if self._clock_sweep is None:
             sets = [self.blocks[0]]
             if 0 in self.alt_blocks:
                 sets.append(self.alt_blocks[0])
             self._clock_sweep = SetSweep(self.blocks[0].process, sets)
-        return bool((self._clock_sweep.probe() > 0).any())
+        return self._clock_sweep
+
+    def clock_active(self) -> bool:
+        """Probe block 0 of both halves; True if either saw a miss."""
+        return bool((self.clock_sweep.probe() > 0).any())
 
     def read_size(self, cap: int = 4) -> int:
         """Packet size in blocks (1..cap), read from whichever half fired.
@@ -149,15 +154,36 @@ class PacketChaser:
     def wait_for_fill(
         self, monitor: BufferMonitor, timeout_cycles: int, poll_wait: int = 0
     ) -> bool:
-        """Poll a buffer's clock set until it fires or timeout elapses."""
+        """Poll a buffer's clock set until it fires or timeout elapses.
+
+        Between events almost every poll is the same all-hit traversal,
+        so after each real poll the run of identical polls up to the next
+        event, the deadline or a re-key is fast-forwarded in one step
+        (:meth:`SetSweep.skip_quiet_polls`).  The loop's cost then scales
+        with events, not cycles, and every exit — clock, verdict, cache
+        state — matches polling one by one.
+        """
         machine = self.process.machine
-        deadline = machine.clock.now + timeout_cycles
-        while machine.clock.now < deadline:
+        clock = machine.clock
+        events = machine.events
+        sweep = monitor.clock_sweep
+        deadline = clock.now + timeout_cycles
+        polled = 0
+        fired = False
+        while clock.now < deadline:
+            start = clock.now
+            next_event = events.peek_time()
+            polled += 1
             if monitor.clock_active():
-                return True
+                fired = True
+                break
             if poll_wait:
                 machine.idle(poll_wait)
-        return False
+            sweep.skip_quiet_polls(start, next_event, deadline, poll_wait)
+        tele = machine.telemetry
+        if polled and tele is not None and tele.metrics.enabled:
+            tele.metrics.counter("path.chase_poll.polled").inc(polled)
+        return fired
 
     def chase(
         self,

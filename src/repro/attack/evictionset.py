@@ -112,10 +112,13 @@ class EvictionSet:
         """The reverse-of-last-traversal order the next probe will use."""
         return self.paddrs()[::-1]
 
-    def flip(self) -> None:
-        """Record one zig-zag traversal (reverse the stored order)."""
+    def flip(self, times: int = 1) -> None:
+        """Record ``times`` zig-zag traversals (reverse the stored order
+        when ``times`` is odd)."""
+        self.version += times
+        if not times & 1:
+            return
         self.addrs.reverse()
-        self.version += 1
         if self._paddrs is not None:
             self._paddrs = self._paddrs[::-1]
             self._flats = self._flats[::-1]
@@ -441,28 +444,48 @@ class OracleEvictionSetBuilder:
         self._flat_groups_epoch = -1
 
     def groups_for_index(self, set_index: int) -> dict[int, EvictionSet]:
-        """slice id -> eviction set, for one set index."""
-        by_slice: dict[int, list[int]] = defaultdict(list)
-        total = self.n_huge_pages * self.huge_page_bytes
-        offset = set_index * self._line
-        translate = self.process.addrspace.translate
-        while offset < total:
-            vaddr = self.base + offset
-            paddr = translate(vaddr)
-            by_slice[self.llc.slice_of(paddr)].append(vaddr)
-            offset += self._index_span
+        """slice id -> eviction set, for one set index.
+
+        The candidates (every huge-page line with this set index, in
+        address order) are translated per huge page — each is physically
+        contiguous — and hashed in one vectorised slice-hash pass.
+        """
+        offsets = np.arange(
+            set_index * self._line,
+            self.n_huge_pages * self.huge_page_bytes,
+            self._index_span,
+            dtype=np.int64,
+        )
+        paddrs = self._page_paddrs()[offsets // self.huge_page_bytes] + (
+            offsets % self.huge_page_bytes
+        )
+        slices = self.llc.slice_hash.slice_of_many(paddrs)
+        vaddrs = self.base + offsets
         out: dict[int, EvictionSet] = {}
-        for slice_id, addrs in sorted(by_slice.items()):
+        for slice_id in np.unique(slices).tolist():
+            addrs = vaddrs[slices == slice_id]
             if len(addrs) < self.ways:
                 continue
             out[slice_id] = EvictionSet(
                 self.process,
-                addrs[: self.ways],
+                addrs[: self.ways].tolist(),
                 self.threshold,
                 set_index=set_index,
                 label=f"idx{set_index}.s{slice_id}",
             )
         return out
+
+    def _page_paddrs(self) -> np.ndarray:
+        """Physical base address of each mapped huge page."""
+        translate = self.process.addrspace.translate
+        return np.fromiter(
+            (
+                translate(self.base + page * self.huge_page_bytes)
+                for page in range(self.n_huge_pages)
+            ),
+            np.int64,
+            count=self.n_huge_pages,
+        )
 
     def group_for(self, set_index: int, slice_id: int) -> EvictionSet:
         """The eviction set covering one exact (set index, slice)."""
@@ -491,13 +514,11 @@ class OracleEvictionSetBuilder:
         epoch = self.llc.mapping_epoch
         if self._flat_groups_cache is not None and self._flat_groups_epoch == epoch:
             return self._flat_groups_cache
-        translate = self.process.addrspace.translate
         lines_per_page = self.huge_page_bytes // self._line
         offsets = np.arange(lines_per_page, dtype=np.int64) * self._line
         by_flat: dict[int, list[int]] = defaultdict(list)
-        for page in range(self.n_huge_pages):
+        for page, page_paddr in enumerate(self._page_paddrs().tolist()):
             page_vaddr = self.base + page * self.huge_page_bytes
-            page_paddr = translate(page_vaddr)
             flats, _lines = self.llc.decompose_many(page_paddr + offsets)
             for off, flat in zip(offsets.tolist(), flats.tolist()):
                 by_flat[flat].append(page_vaddr + off)

@@ -114,6 +114,7 @@ class SetSweep:
             raise ValueError("sweep over an empty set list")
         self.process = process
         self.sets = list(sets)
+        self._n_accesses = sum(len(es) for es in self.sets)
         self._cache: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._offsets: np.ndarray | None = None
         self._thresholds: np.ndarray | None = None
@@ -166,6 +167,69 @@ class SetSweep:
             if registry is not None:
                 record_probe_latencies(registry, lats, self._thresholds)
         return counts
+
+    def skip_quiet_polls(
+        self, poll_start: int, next_event: int | None, deadline: int, poll_wait: int
+    ) -> int:
+        """Fast-forward the identical polls that follow a quiet poll.
+
+        Called by the spy's clock-poll loop right after one real
+        :meth:`probe` that started at ``poll_start`` (when the earliest
+        pending event was ``next_event``) and its ``poll_wait`` idle.
+        That poll was *quiet* if it cost exactly n·(hit + timer overhead)
+        + ``poll_wait`` — every access hit — and no event was due before
+        the wait ended.  From a quiet poll ending at ``now``, the next k
+        polls of period P are identical all-hit traversals as long as
+        they start before ``deadline``, ``now + k·P`` precedes the next
+        event and, on an epochal backend, their k·n accesses come before
+        the re-key.  The first k−1 are applied at once — clock, hit and
+        tick credits, zig-zag parity, probe telemetry — and poll k is left
+        to the caller to run for real: it restamps every line, so LRU
+        stamps end exactly as the per-poll loop leaves them.
+
+        Fault plans (per-access jitter draws) and the partition defense
+        (it reads the clock on fills) keep the per-poll loop.  Returns
+        the number of polls skipped.
+        """
+        machine = self.process.machine
+        llc = machine.llc
+        tele = machine.telemetry
+        metrics = tele.metrics if tele is not None and tele.metrics.enabled else None
+        if machine.faults is not None or llc.partition is not None:
+            if metrics is not None:
+                reason = "faults" if machine.faults is not None else "partition"
+                metrics.counter(f"path.chase_poll.decline.{reason}").inc()
+            return 0
+        n = self._n_accesses
+        lat = llc.timing.llc_hit_latency + llc.timing.measure_overhead
+        period = n * lat + poll_wait
+        now = machine.clock.now
+        if now - poll_start != period:
+            return 0  # a miss in the poll
+        k = -(-(deadline - now) // period)  # polls that start before the deadline
+        if next_event is not None:
+            # Also declines (k <= 0) when an event fired during the poll
+            # or its wait: it may have evicted a line already probed.
+            k = min(k, (next_event - now - 1) // period)
+        if llc.mapping.epoch_period:
+            k = min(k, llc.accesses_until_rekey() // n)
+        skipped = k - 1
+        if skipped < 1:
+            return 0
+        machine.clock.advance(skipped * period)
+        llc.credit_resident_hits(skipped * n)
+        for es in self.sets:
+            es.flip(skipped)
+        if metrics is not None:
+            lats = np.full(n, lat, dtype=np.int64)
+            metrics.histogram("probe.latency_cycles").observe_many(lats, skipped)
+            metrics.counter("probe.accesses").inc(skipped * n)
+            registry = quality_registry(tele)
+            if registry is not None:
+                record_probe_latencies(registry, lats, self._thresholds, skipped)
+            metrics.counter("path.chase_poll.skipped").inc(skipped)
+            metrics.counter("path.chase_poll.skipped_cycles").inc(skipped * period)
+        return skipped
 
 
 class ProbeMonitor:

@@ -73,8 +73,9 @@ class SkewedMapping(IndexMapping):
     def partition_of(self, line: int) -> int:
         return mix64(line ^ self._select_key) % self.n_partitions
 
-    def _partitions_of_many(self, lines: np.ndarray) -> np.ndarray:
-        # Vectorised mix64 over the selector-keyed line addresses.
+    def partitions_of_many(self, lines: np.ndarray) -> np.ndarray:
+        """Vectorised :meth:`partition_of`: mix64 over the selector-keyed
+        line addresses (int64)."""
         x = lines.astype(np.uint64) ^ np.uint64(self._select_key)
         x = (x + np.uint64(0x9E3779B97F4A7C15))
         x ^= x >> np.uint64(30)
@@ -87,7 +88,7 @@ class SkewedMapping(IndexMapping):
     def flats_of_many(self, paddrs: np.ndarray, lines: np.ndarray) -> np.ndarray:
         base = self.modulo_flats(paddrs, lines).astype(np.uint64)
         tags = (lines >> self._tag_shift).astype(np.uint64)
-        parts = self._partitions_of_many(lines)
+        parts = self.partitions_of_many(lines)
         out = np.empty(len(base), dtype=np.int64)
         for p in range(self.n_partitions):
             sel = parts == p

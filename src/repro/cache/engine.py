@@ -158,6 +158,11 @@ class CacheEngine:
             self._n_io[flat] += 1
         return evicted
 
+    def skip_ticks(self, n: int) -> None:
+        """Consume ``n`` ticks without stamping (touches whose lines are
+        restamped later, so only the counter's advance is observable)."""
+        self._tick += n
+
     def evict_lru(self, flat: int) -> tuple[int, int]:
         """Evict and return the least recently used line of a set."""
         if not self._size[flat]:
@@ -260,20 +265,73 @@ class CacheEngine:
             self._n_io[flat] -= 1
         return line, flags
 
-    def reset(self) -> None:
-        """Empty every set, keeping the tick counter monotonic.
+    def reload(
+        self,
+        flats: np.ndarray,
+        lines: np.ndarray,
+        flags: np.ndarray,
+        lo: np.ndarray | int,
+        width: int,
+    ) -> np.ndarray:
+        """Empty every set, then insert ``lines`` as MRU in array order.
 
-        Used by epoch re-keying: the LLC snapshots resident lines,
-        resets the arrays, and reinserts each line under the fresh
-        mapping — stamps issued after the reset stay strictly above any
-        issued before, so LRU order across the re-key remains coherent.
+        Equivalent to emptying the arrays and looping :meth:`insert_in`
+        (``flats[i], lines[i], flags[i]``, ways ``[lo[i], lo[i] + width)``)
+        — :meth:`insert` when the range is the whole set — but in one
+        vectorised pass.  Inside one (set, way range) group each insert
+        evicts the group's oldest line once the range is full, so line
+        ``j`` of a group lands in way ``lo + j mod width`` and only the
+        last ``width`` lines survive.  Every insert consumes one tick, so
+        stamps follow the array order and stay above any issued before.
+
+        Used by epoch re-keying, which passes resident lines in global
+        LRU-to-MRU order.  Returns the indices of the dropped lines in the
+        order the loop would evict them.
         """
+        n = len(lines)
+        ways = self.ways
+        lo = np.broadcast_to(np.asarray(lo, dtype=np.int64), (n,))
+        keys = flats * ways + lo
+        group_order = np.argsort(keys, kind="stable")
+        keys = keys[group_order]
+        starts = np.ones(n, dtype=bool)
+        starts[1:] = keys[1:] != keys[:-1]
+        seq = np.arange(n)
+        rank_sorted = seq - np.maximum.accumulate(np.where(starts, seq, 0))
+        group = np.cumsum(starts) - 1
+        survive_sorted = rank_sorted >= np.bincount(group)[group] - width
+        # A dropped line is evicted by the line ``width`` ranks later in
+        # its group; evictions happen in the evictors' insertion order.
+        drop_pos = np.flatnonzero(~survive_sorted)
+        evictors = group_order[drop_pos + width]
+        dropped = group_order[drop_pos][np.argsort(evictors)]
+        rank = np.empty(n, dtype=np.int64)
+        rank[group_order] = rank_sorted
+        keep = np.ones(n, dtype=bool)
+        keep[dropped] = False
+        kept = np.flatnonzero(keep)
+        k_flats = flats[kept]
+        k_lines = lines[kept]
+        k_flags = flags[kept]
+        k_ways = lo[kept] + rank[kept] % width
+        slots = k_flats * ways + k_ways
         self.tags.fill(-1)
         self.flags.fill(0)
         self.stamps.fill(0)
-        self._size = [0] * self.n_sets
-        self._n_io = [0] * self.n_sets
-        self._dir.clear()
+        self.tags[slots] = k_lines
+        self.flags[slots] = k_flags
+        self.stamps[slots] = self._tick + 1 + kept
+        self._tick += n
+        self._size = np.bincount(k_flats, minlength=self.n_sets).tolist()
+        self._n_io = np.bincount(
+            k_flats[(k_flags & LINE_IO) != 0], minlength=self.n_sets
+        ).tolist()
+        span = self._line_span
+        self._dir = {
+            f * span + line: w
+            for f, line, w in zip(k_flats.tolist(), k_lines.tolist(), k_ways.tolist())
+        }
+        return dropped
 
     # ------------------------------------------------------------------
     # Introspection

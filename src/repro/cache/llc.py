@@ -282,44 +282,33 @@ class SlicedLLC:
             )
         engine = self.engine
         occ = np.flatnonzero(engine.tags != -1)
+        occ = occ[np.argsort(engine.stamps[occ], kind="stable")]  # LRU -> MRU
         lines = engine.tags[occ]
         flags = engine.flags[occ]
-        order = np.argsort(engine.stamps[occ], kind="stable")
         self.mapping.advance_epoch()
         self.mapping_epoch += 1
         self._flat_memo.clear()
-        engine.reset()
         stats = self.mapping.stats
         stats.epochs += 1
-        shift = self._offset_bits
-        skewed = self._skewed
-        dropped = 0
         # One vectorised pass maps every resident line under the fresh
-        # keys (and seeds the memo wholesale) — the reinsert loop below
-        # then only pays for engine bookkeeping, not per-line hashing.
-        new_flats = self.mapping.flats_of_many(lines << shift, lines)
+        # keys (and seeds the memo wholesale); one engine pass reinserts
+        # them all in recency order.
+        new_flats = self.mapping.flats_of_many(lines << self._offset_bits, lines)
         self._flat_memo.update(zip(lines.tolist(), new_flats.tolist()))
-        for i in order.tolist():
-            line = int(lines[i])
-            line_flags = int(flags[i])
-            flat = int(new_flats[i])
-            if skewed:
-                evicted = engine.insert_in(
-                    flat, line, line_flags, *self._way_range(line)
-                )
-            else:
-                evicted = engine.insert(flat, line, line_flags)
-            if evicted is not None:
-                dropped += 1
-                ev_line, ev_flags = evicted
-                self.stats.invalidations += 1
-                if self.evict_hook is not None:
-                    self.evict_hook(ev_line)
-                if ev_flags & LINE_DIRTY:
-                    self.stats.writebacks += 1
-                    self.traffic.writes += 1
-        stats.lines_remapped += len(occ) - dropped
-        stats.lines_dropped += dropped
+        if self._skewed:
+            lo = self.mapping.partitions_of_many(lines) * self._part_ways
+            dropped = engine.reload(new_flats, lines, flags, lo, self._part_ways)
+        else:
+            dropped = engine.reload(new_flats, lines, flags, 0, engine.ways)
+        dirty = int(((flags[dropped] & LINE_DIRTY) != 0).sum())
+        self.stats.invalidations += len(dropped)
+        self.stats.writebacks += dirty
+        self.traffic.writes += dirty
+        if self.evict_hook is not None:
+            for line in lines[dropped].tolist():
+                self.evict_hook(line)
+        stats.lines_remapped += len(occ) - len(dropped)
+        stats.lines_dropped += len(dropped)
 
     # ------------------------------------------------------------------
     # CPU path
@@ -440,6 +429,20 @@ class SlicedLLC:
             hits[clean] = True
             lats[clean] = hit_latency
         return hits, lats
+
+    def credit_resident_hits(self, n: int) -> None:
+        """Account ``n`` CPU hits on resident lines without touching them.
+
+        For fast-forwarding runs of identical all-hit traversals: the hit
+        count, the engine's tick and the epoch access count advance as
+        the touches would have, and the caller's next real traversal
+        restamps the lines — so the final stamps match the touched run.
+        The caller must keep the credited accesses before the next re-key.
+        """
+        self.stats.cpu_hits += n
+        self.engine.skip_ticks(n)
+        if self._epochal:
+            self._access_count += n
 
     # ------------------------------------------------------------------
     # I/O (DMA) path

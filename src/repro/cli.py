@@ -610,6 +610,19 @@ def _write_telemetry(
                     f"  {pct.get('p95', 0.0):10.2f}"
                     f"  {pct.get('p99', 0.0):10.2f}"
                 )
+        _print_path_counters(payload["metrics"].get("counters", {}))
+
+
+def _print_path_counters(counters: dict[str, int]) -> None:
+    """One line per ``path.<site>`` family: which path a hot loop took
+    (e.g. real vs fast-forwarded polls) and why a guard declined."""
+    sites: dict[str, list[str]] = {}
+    for name in sorted(counters):
+        if name.startswith("path."):
+            site, _, key = name[len("path.") :].partition(".")
+            sites.setdefault(site, []).append(f"{key}={counters[name]}")
+    for site, parts in sites.items():
+        print(f"[telemetry] path {site}: {', '.join(parts)}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -81,12 +81,15 @@ class Histogram:
         if self.max is None or value > self.max:
             self.max = value
 
-    def observe_many(self, values) -> None:
+    def observe_many(self, values, repeat: int = 1) -> None:
         """Batched :meth:`observe` — same final state, one numpy pass.
 
         ``value <= edge`` bucketing matches the scalar loop exactly:
         ``searchsorted(side="left")`` returns the first edge >= value, and
         index ``len(buckets)`` is the implicit overflow bucket.
+        ``repeat`` observes ``values`` that many times over (counts, min
+        and max exact; the sum is one multiplication, so it matches
+        repeated addition exactly for integer-valued data).
         """
         arr = np.asarray(values, dtype=np.float64)
         if arr.size == 0:
@@ -95,9 +98,9 @@ class Histogram:
         binned = np.bincount(idx, minlength=len(self.buckets) + 1)
         for i, n in enumerate(binned):
             if n:
-                self.counts[i] += int(n)
-        self.sum += float(arr.sum())
-        self.count += arr.size
+                self.counts[i] += int(n) * repeat
+        self.sum += float(arr.sum()) * repeat
+        self.count += arr.size * repeat
         lo = float(arr.min())
         hi = float(arr.max())
         if self.min is None or lo < self.min:

@@ -64,6 +64,53 @@ class TestOracleBuilder:
         assert len(groups) == 4 * geometry.n_slices
 
 
+def _scalar_groups_for_index(builder, set_index):
+    """The per-address placement loop ``groups_for_index`` replaced, kept
+    as the reference: translate and hash one candidate at a time."""
+    from collections import defaultdict
+
+    by_slice = defaultdict(list)
+    total = builder.n_huge_pages * builder.huge_page_bytes
+    offset = set_index * builder._line
+    while offset < total:
+        vaddr = builder.base + offset
+        paddr = builder.process.addrspace.translate(vaddr)
+        by_slice[builder.llc.slice_hash.slice_of(paddr)].append(vaddr)
+        offset += builder._index_span
+    return {
+        slice_id: (addrs[: builder.ways], f"idx{set_index}.s{slice_id}")
+        for slice_id, addrs in sorted(by_slice.items())
+        if len(addrs) >= builder.ways
+    }
+
+
+class TestVectorisedPlacement:
+    @pytest.mark.parametrize(
+        "hash_kind,ways", [("intel", None), ("modulo", None), ("intel", 4)]
+    )
+    def test_groups_match_scalar_placement(
+        self, nic_machine, spy, threshold, hash_kind, ways
+    ):
+        from repro.cache.slicehash import ModuloSliceHash
+
+        llc = nic_machine.llc
+        if hash_kind == "modulo":
+            # Placement reads only ``llc.slice_hash``, so swapping it is
+            # enough to exercise another hash family.
+            llc.slice_hash = ModuloSliceHash(llc.geometry.n_slices)
+        builder = OracleEvictionSetBuilder(spy, threshold, huge_pages=3, ways=ways)
+        for set_index in (0, 1, 63, 64, 200, llc.geometry.sets_per_slice - 1):
+            groups = builder.groups_for_index(set_index)
+            expected = _scalar_groups_for_index(builder, set_index)
+            assert list(groups) == list(expected)
+            for slice_id, es in groups.items():
+                addrs, label = expected[slice_id]
+                assert es.addrs == addrs
+                assert all(type(a) is int for a in es.addrs)
+                assert es.label == label
+                assert es.set_index == set_index
+
+
 class TestTimingBuilder:
     def test_eviction_set_evicts_victim(self, nic_machine, spy, threshold):
         builder = EvictionSetBuilder(spy, threshold, huge_pages=4)

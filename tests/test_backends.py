@@ -33,6 +33,7 @@ from repro.cache.backends import (
     parse_backend_spec,
 )
 from repro.cache.backends.base import keyed_permute_many
+from repro.cache.cacheset import LINE_DIRTY, LINE_IO
 from repro.cache.llc import SlicedLLC
 from repro.cache.slicehash import IntelComplexHash
 from repro.core.config import CacheGeometry
@@ -264,6 +265,109 @@ class TestBatchedScalarEquivalence:
         assert _state(a) == _state(b)
 
 
+class _EpochalSkewed(SkewedMapping):
+    """A skewed mapping that also re-keys — exercises the way-restricted
+    branch of the re-key (no shipped backend is both)."""
+
+    epoch_period = 10**9
+
+    def advance_epoch(self) -> None:
+        fresh = SkewedMapping(
+            self.geometry, self.slice_hash, self.seed + 1, self.n_partitions
+        )
+        self.seed = fresh.seed
+        self._select_key = fresh._select_key
+        self._round_keys = fresh._round_keys
+
+
+def _reference_rekey(llc: SlicedLLC) -> None:
+    """The per-line reinsert loop ``SlicedLLC._rekey`` replaced, kept as
+    the reference: every resident line reinserted one ``insert`` (or
+    ``insert_in``) at a time, in global LRU-to-MRU order."""
+    engine = llc.engine
+    occ = np.flatnonzero(engine.tags != -1)
+    lines = engine.tags[occ]
+    flags = engine.flags[occ]
+    order = np.argsort(engine.stamps[occ], kind="stable")
+    llc.mapping.advance_epoch()
+    llc.mapping_epoch += 1
+    llc._flat_memo.clear()
+    engine.tags.fill(-1)
+    engine.flags.fill(0)
+    engine.stamps.fill(0)
+    engine._size = [0] * engine.n_sets
+    engine._n_io = [0] * engine.n_sets
+    engine._dir.clear()
+    stats = llc.mapping.stats
+    stats.epochs += 1
+    new_flats = llc.mapping.flats_of_many(lines << GEOMETRY.offset_bits, lines)
+    llc._flat_memo.update(zip(lines.tolist(), new_flats.tolist()))
+    dropped = 0
+    for i in order.tolist():
+        line, line_flags, flat = int(lines[i]), int(flags[i]), int(new_flats[i])
+        if llc._skewed:
+            evicted = engine.insert_in(flat, line, line_flags, *llc._way_range(line))
+        else:
+            evicted = engine.insert(flat, line, line_flags)
+        if evicted is not None:
+            dropped += 1
+            llc.stats.invalidations += 1
+            if llc.evict_hook is not None:
+                llc.evict_hook(evicted[0])
+            if evicted[1] & LINE_DIRTY:
+                llc.stats.writebacks += 1
+                llc.traffic.writes += 1
+    stats.lines_remapped += len(occ) - dropped
+    stats.lines_dropped += dropped
+
+
+def _rekey_llc(kind: str) -> SlicedLLC:
+    if kind == "keyed":
+        return _llc("keyed:epoch=1000000000")
+    mapping = _EpochalSkewed(GEOMETRY, IntelComplexHash(GEOMETRY.n_slices), 7, 3)
+    return SlicedLLC(geometry=GEOMETRY, backend=mapping, seed=7)
+
+
+class TestVectorisedRekey:
+    @pytest.mark.parametrize("kind", ["keyed", "skewed"])
+    @pytest.mark.parametrize("n_ops,seed", [(0, 1), (40, 2), (300, 3), (2500, 4), (6000, 5)])
+    def test_matches_per_line_reinsert(self, kind, n_ops, seed):
+        ops = _random_ops(seed, n_ops)
+        fast, ref = _rekey_llc(kind), _rekey_llc(kind)
+        hooks = {}
+        for name, llc in (("fast", fast), ("ref", ref)):
+            _apply_scalar(llc, ops)
+            log = hooks[name] = []
+            llc.evict_hook = log.append
+        resident = int((fast.engine.tags != -1).sum())
+        # Several rounds: later re-keys start from a re-keyed layout.
+        for _ in range(3):
+            fast._rekey(now=0)
+            _reference_rekey(ref)
+            a, b = fast.engine, ref.engine
+            assert a.tags.tobytes() == b.tags.tobytes()
+            assert a.flags.tobytes() == b.flags.tobytes()
+            assert a.stamps.tobytes() == b.stamps.tobytes()
+            assert a._tick == b._tick
+            assert a._dir == b._dir
+            assert a._size == b._size
+            assert a._n_io == b._n_io
+            assert fast._flat_memo == ref._flat_memo
+            assert fast.stats.snapshot() == ref.stats.snapshot()
+            assert fast.traffic.writes == ref.traffic.writes
+            assert fast.mapping.stats.snapshot() == ref.mapping.stats.snapshot()
+            assert hooks["fast"] == hooks["ref"]
+            _apply_scalar(fast, ops[: n_ops // 4])
+            _apply_scalar(ref, ops[: n_ops // 4])
+        if n_ops >= 2500:
+            # Near-full occupancy: dirty, I/O and dropped lines all occur.
+            assert resident > 0.75 * GEOMETRY.total_sets * GEOMETRY.ways
+            assert fast.mapping.stats.lines_dropped > 0
+            assert hooks["fast"]
+            assert fast.stats.writebacks > 0
+            assert (fast.engine.flags & LINE_IO).any()
+
+
 class TestSkewedPartitions:
     def test_lines_stay_in_their_partition_ways(self):
         llc = _llc("skewed:partitions=3")
@@ -280,7 +384,7 @@ class TestSkewedPartitions:
     def test_partition_of_matches_vectorised_selector(self):
         mapping = _mapping("skewed:partitions=3")
         lines = np.arange(512, dtype=np.int64)
-        parts = mapping._partitions_of_many(lines)
+        parts = mapping.partitions_of_many(lines)
         for line, p in zip(lines.tolist(), parts.tolist()):
             assert mapping.partition_of(line) == p
 

@@ -7,7 +7,9 @@ constant offset), but the performance model for the defense evaluation
 working sets filter out of the LLC traffic realistically.
 
 The hierarchy is inclusive, like the Intel parts the paper targets: an LLC
-eviction back-invalidates the L1 copy.
+eviction back-invalidates the L1 copy.  Victim workloads issue runs of
+lines through one kernel, :meth:`CacheHierarchy.access_run`; a single
+access is a run of one.
 """
 
 from __future__ import annotations
@@ -16,6 +18,9 @@ from repro.cache.cacheset import CacheSet, LINE_DIRTY
 from repro.cache.llc import SlicedLLC
 from repro.cache.stats import CacheStats
 from repro.core.config import TimingParams
+
+#: ``until`` of a run no pending event bounds.
+_NEVER = float("inf")
 
 
 class L1Cache:
@@ -73,7 +78,17 @@ class CacheHierarchy:
     ) -> None:
         self.llc = llc
         self.timing = timing or llc.timing
-        self.l1 = l1 or L1Cache()
+        self.l1 = l1 = l1 or L1Cache()
+        #: What :meth:`access_run` reads of the L1 on every call: each
+        #: set's LRU-ordered line dict, the index shift and mask, the
+        #: associativity and the hit latency.
+        self._l1_shape = (
+            [s.lines for s in l1.sets],
+            l1._offset_bits,
+            l1._set_mask,
+            l1.ways,
+            self.timing.l1_hit_latency,
+        )
         # Register for back-invalidation so inclusion holds.  Multiple
         # hierarchies chain their hooks.
         previous_hook = llc.evict_hook
@@ -87,15 +102,58 @@ class CacheHierarchy:
 
     def access(self, paddr: int, write: bool = False, now: int = 0) -> tuple[bool, int]:
         """Access through L1 then LLC; returns (l1_hit, total_latency)."""
-        if self.l1.access(paddr, write):
-            return True, self.timing.l1_hit_latency
-        _llc_hit, llc_latency = self.llc.cpu_access(paddr, write=write, now=now)
-        evicted = self.l1.fill(paddr, write)
-        if evicted is not None:
-            line_addr, flags = evicted
-            if flags & LINE_DIRTY:
-                # Dirty L1 writeback lands in the (inclusive) LLC copy.
-                victim_paddr = line_addr << self.llc.geometry.offset_bits
-                llc_set = self.llc.sets[self.llc.flat_set_of(victim_paddr)]
-                llc_set.touch(line_addr, set_dirty=True)
-        return False, self.timing.l1_hit_latency + llc_latency
+        hits = self.l1.stats.cpu_hits
+        _done, latency = self.access_run((paddr,), write, now)
+        return self.l1.stats.cpu_hits != hits, latency
+
+    def access_run(
+        self, paddrs, write: bool = False, now: int = 0, until: int | None = None
+    ) -> tuple[int, int]:
+        """Access each address of ``paddrs`` in order, the first at cycle
+        ``now``; returns ``(accesses_done, total_latency)``.
+
+        Each access starts when the previous one's latency has elapsed.
+        The run stops before the first access that would start at or after
+        ``until`` (the earliest pending event), so the caller can fire it
+        and resume exactly where the per-access loop would.  An L1 miss
+        goes through :meth:`SlicedLLC.cpu_access` with its own start cycle.
+        """
+        set_lines, shift, mask, ways, l1_latency = self._l1_shape
+        llc = self.llc
+        cpu_access = llc.cpu_access
+        if until is None:
+            until = _NEVER
+        t = now
+        done = hits = 0
+        try:
+            for paddr in paddrs:
+                if t >= until:
+                    break
+                done += 1
+                line = paddr >> shift
+                lines = set_lines[line & mask]
+                flags = lines.get(line)
+                if flags is not None:
+                    hits += 1
+                    lines.move_to_end(line)
+                    if write and not flags & LINE_DIRTY:
+                        lines[line] = flags | LINE_DIRTY
+                    t += l1_latency
+                    continue
+                _llc_hit, llc_latency = cpu_access(paddr, write, t)
+                # Fill only now: the LLC fill's eviction may have
+                # back-invalidated a line of this very set.
+                victim = lines.popitem(last=False) if len(lines) >= ways else None
+                lines[line] = LINE_DIRTY if write else 0
+                if victim is not None and victim[1] & LINE_DIRTY:
+                    # Dirty L1 writeback lands in the (inclusive) LLC copy.
+                    victim_line = victim[0]
+                    victim_paddr = victim_line << llc.geometry.offset_bits
+                    llc_set = llc.sets[llc.flat_set_of(victim_paddr)]
+                    llc_set.touch(victim_line, set_dirty=True)
+                t += l1_latency + llc_latency
+        finally:
+            stats = self.l1.stats
+            stats.cpu_hits += hits
+            stats.cpu_misses += done - hits
+        return done, t - now

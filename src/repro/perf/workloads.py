@@ -18,6 +18,7 @@ the measured service times and DRAM traffic.
 
 from __future__ import annotations
 
+import bisect
 import random
 from dataclasses import dataclass
 
@@ -181,10 +182,7 @@ class NginxServer:
 
     def _pick_file(self) -> int:
         u = self.rng.random()
-        for idx, edge in enumerate(self._cum):
-            if u <= edge:
-                return idx
-        return len(self._cum) - 1
+        return min(bisect.bisect_left(self._cum, u), len(self._cum) - 1)
 
     def handle_request(self, request_frame: Frame | None = None) -> int:
         """Serve one request; returns service cycles."""
@@ -197,25 +195,24 @@ class NginxServer:
         # benefit.
         ring = machine.ring
         rx_buffer = ring.buffers[(ring.head - 1) % len(ring.buffers)]
-        for i in range(frame.n_blocks(self._line)):
-            self.agent.read_kernel(rx_buffer.dma_paddr + i * self._line)
+        self.agent.read_kernel(rx_buffer.dma_paddr, lines=frame.n_blocks(self._line))
         if self.randomizer is not None:
             pending = self.randomizer.drain_pending()
             if pending:
                 self.agent.compute(pending)
-        # Parse request: read connection state.
-        for i in range(4):
-            self.agent.read(
-                self._state
-                + ((self.requests_served * 7 + i) % self._state_lines) * self._line
-            )
+        # Parse request: read 4 lines of connection state, as one run up
+        # to the end of the state region and one more after the wrap.
+        first = (self.requests_served * 7) % self._state_lines
+        left = 4
+        while left:
+            n = min(left, self._state_lines - first)
+            self.agent.read(self._state + first * self._line, lines=n)
+            left -= n
+            first = 0
         # Read the file body from page cache.
-        file_base = self._files[self._pick_file()]
-        for i in range(self.file_lines):
-            self.agent.read(file_base + i * self._line)
+        self.agent.read(self._files[self._pick_file()], lines=self.file_lines)
         # Build response headers + log entry.
-        for i in range(8):
-            self.agent.write(self._resp + i * self._line)
+        self.agent.write(self._resp, lines=8)
         self.agent.compute(400)
         self.requests_served += 1
         return machine.clock.now - start

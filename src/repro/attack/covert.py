@@ -189,8 +189,8 @@ class CovertReceiver:
         """Probe until ``n_symbols`` are decoded (or the sample budget ends).
 
         Each sample is one batched :class:`SetSweep` probe over all
-        ``3 * n_streams`` monitored sets (cycle- and telemetry-identical
-        to the historical per-set probe loop), and the per-stream window
+        ``3 * n_streams`` monitored sets (cycle-identical to the
+        historical per-set probe loop), and the per-stream window
         state machine advances as array operations; the decode order —
         stream index ascending within a sample — matches the scalar loop,
         pinned against ``legacy_decode_activity`` in

@@ -33,10 +33,13 @@ import numpy as np
 
 from repro.attack.timing import LatencyThreshold
 from repro.telemetry.quality import (
+    ProbeSweepAccumulator,
     quality_registry,
     record_evset_report,
-    record_probe_latencies,
 )
+
+#: Per-set start offsets of a one-set traversal.
+_ONE_SET = np.zeros(1, dtype=np.int64)
 
 
 def page_aligned_set_indices(geometry, page_size: int = 4096) -> list[int]:
@@ -45,6 +48,44 @@ def page_aligned_set_indices(geometry, page_size: int = 4096) -> list[int]:
     if step >= geometry.sets_per_slice:
         return [0]
     return list(range(0, geometry.sets_per_slice, step))
+
+
+def timed_probe(
+    machine,
+    paddrs: np.ndarray,
+    decomp: tuple[np.ndarray, np.ndarray],
+    thresholds,
+    offsets: np.ndarray,
+    batcher: ProbeSweepAccumulator,
+) -> np.ndarray:
+    """The spy's one timed PRIME+PROBE traversal; returns per-set misses.
+
+    ``paddrs`` is the concatenation of one or more sets' probe-order
+    traversals (``decomp`` its cached ``(flats, lines)``), ``offsets``
+    each set's start in it and ``thresholds`` the hit/miss threshold — a
+    scalar, or one value per access when the sets' thresholds differ.
+    The whole traversal is one :meth:`Machine.cpu_access_many` call, so
+    access order, event timing and the clock match a per-access
+    :meth:`Process.timed_access` loop.  With metrics on, the probe
+    telemetry is recorded here and only here: ``probe.latency_cycles``,
+    ``probe.accesses``, ``probe.misses``, and the per-(sweep, set)
+    quality margins via ``batcher``.  The caller flips its sets.
+    """
+    lats = machine.cpu_access_many(paddrs, timed=True, decomp=decomp)
+    miss_mask = lats > thresholds
+    counts = np.add.reduceat(miss_mask.astype(np.int64), offsets)
+    tele = machine.telemetry
+    if tele is not None and tele.metrics.enabled:
+        metrics = tele.metrics
+        metrics.histogram("probe.latency_cycles").observe_many(lats)
+        metrics.counter("probe.accesses").inc(lats.size)
+        total_misses = int(counts.sum())
+        if total_misses:
+            metrics.counter("probe.misses").inc(total_misses)
+        registry = quality_registry(tele)
+        if registry is not None:
+            batcher.add(registry, lats, miss_mask, total_misses)
+    return counts
 
 
 class EvictionSet:
@@ -70,7 +111,9 @@ class EvictionSet:
         self.threshold = threshold
         self.set_index = set_index
         self.label = label
-        self._telemetry = process.machine.telemetry
+        #: Quality-margin batcher for :meth:`probe`, rebuilt when the
+        #: threshold changes (an online recalibration).
+        self._batcher: ProbeSweepAccumulator | None = None
         #: Physical addresses aligned with :attr:`addrs`, resolved lazily
         #: (translation is deterministic and the pages stay mapped).  One
         #: probe traversal then costs one batched machine call instead of
@@ -131,48 +174,24 @@ class EvictionSet:
     def probe(self) -> int:
         """Timed zig-zag traversal; returns the number of misses seen.
 
-        One batched machine call covers the whole traversal — the classic
-        per-line loop collapsed into :meth:`Machine.cpu_access_many`.
+        One :func:`timed_probe` over this set alone, against its live
+        threshold.
         """
+        threshold = self.threshold.threshold
+        batcher = self._batcher
+        if batcher is None or batcher.thresholds != threshold:
+            batcher = self._batcher = ProbeSweepAccumulator(threshold, _ONE_SET)
         flats, lines = self.decomp()
-        lats = self.process.machine.cpu_access_many(
+        misses = timed_probe(
+            self.process.machine,
             self.probe_order_paddrs(),
-            timed=True,
-            decomp=(flats[::-1], lines[::-1]),
+            (flats[::-1], lines[::-1]),
+            threshold,
+            _ONE_SET,
+            batcher,
         )
         self.flip()
-        misses = int((lats > self.threshold.threshold).sum())
-        tele = self._telemetry
-        if tele is not None and tele.metrics.enabled:
-            tele.metrics.histogram("probe.latency_cycles").observe_many(lats)
-            tele.metrics.counter("probe.accesses").inc(len(self.addrs))
-            if misses:
-                tele.metrics.counter("probe.misses").inc(misses)
-            registry = quality_registry(tele)
-            if registry is not None:
-                record_probe_latencies(registry, lats, self.threshold.threshold)
-        return misses
-
-    def probe_fast(self) -> int:
-        """Probe without per-access timer overhead (one fence per set).
-
-        Models an attacker timing the whole traversal instead of each load;
-        returns misses inferred from aggregate latency.
-        """
-        machine = self.process.machine
-        timing = machine.llc.timing
-        flats, lines = self.decomp()
-        lats = machine.cpu_access_many(
-            self.probe_order_paddrs(), decomp=(flats[::-1], lines[::-1])
-        )
-        self.flip()
-        total = int(lats.sum())
-        machine.clock.advance(timing.measure_overhead)
-        baseline = timing.llc_hit_latency * len(self.addrs)
-        return max(
-            0,
-            round((total - baseline) / (timing.llc_miss_latency - timing.llc_hit_latency)),
-        )
+        return int(misses[0])
 
 
 @dataclass

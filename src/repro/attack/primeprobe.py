@@ -27,12 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.attack.evictionset import EvictionSet
-from repro.telemetry.quality import (
-    ProbeSweepAccumulator,
-    quality_registry,
-    record_probe_latencies,
-)
+from repro.attack.evictionset import EvictionSet, timed_probe
+from repro.telemetry.quality import ProbeSweepAccumulator, quality_registry
 
 
 @dataclass
@@ -99,14 +95,14 @@ class SampleTrace:
 class SetSweep:
     """One batched timed probe over a fixed list of eviction sets.
 
-    The concatenation of every set's zig-zag traversal goes out as a
-    single :meth:`Machine.cpu_access_many` call — access order, event
-    timing and the clock are identical to calling ``es.probe()`` per set
-    — and the telemetry :meth:`EvictionSet.probe` would have recorded
-    per set is recorded once for the batch (histograms and counters are
-    order-independent sums of the same integer latencies, so registry
-    state is bit-identical).  Used by the covert receiver and the packet
-    chaser, whose probe groups are small and fixed per decision.
+    The concatenation of every set's zig-zag traversal goes out through
+    one :func:`~repro.attack.evictionset.timed_probe` call — access
+    order, event timing and the clock are identical to probing the sets
+    one after another — and the probe telemetry is recorded once for the
+    batch.  Each set's threshold is read on the first probe and kept: a
+    consumer whose thresholds change (a recalibration) builds a new
+    sweep.  Used by :class:`ProbeMonitor`, the covert receiver and the
+    packet chaser.
     """
 
     def __init__(self, process, sets: list[EvictionSet]) -> None:
@@ -115,9 +111,14 @@ class SetSweep:
         self.process = process
         self.sets = list(sets)
         self._n_accesses = sum(len(es) for es in self.sets)
+        #: Concatenated traversal arrays per orientation signature.  A
+        #: zig-zag sweep alternates between two signatures, so this holds
+        #: two entries in steady state; interleaved per-set probes just
+        #: miss the cache and rebuild.
         self._cache: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
         self._offsets: np.ndarray | None = None
         self._thresholds: np.ndarray | None = None
+        self._batcher: ProbeSweepAccumulator | None = None
 
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         key = bytes(es.version & 1 for es in self.sets)
@@ -145,27 +146,22 @@ class SetSweep:
                 ),
                 lens,
             )
+            self._batcher = ProbeSweepAccumulator(self._thresholds, self._offsets)
         return cached
 
     def probe(self) -> np.ndarray:
         """Timed zig-zag sweep; returns per-set miss counts (int64)."""
-        machine = self.process.machine
         combined, flats, lines = self._arrays()
-        lats = machine.cpu_access_many(combined, timed=True, decomp=(flats, lines))
-        miss_mask = lats > self._thresholds
-        counts = np.add.reduceat(miss_mask.astype(np.int64), self._offsets)
+        counts = timed_probe(
+            self.process.machine,
+            combined,
+            (flats, lines),
+            self._thresholds,
+            self._offsets,
+            self._batcher,
+        )
         for es in self.sets:
             es.flip()
-        tele = machine.telemetry
-        if tele is not None and tele.metrics.enabled:
-            tele.metrics.histogram("probe.latency_cycles").observe_many(lats)
-            tele.metrics.counter("probe.accesses").inc(len(combined))
-            total_misses = int(miss_mask.sum())
-            if total_misses:
-                tele.metrics.counter("probe.misses").inc(total_misses)
-            registry = quality_registry(tele)
-            if registry is not None:
-                record_probe_latencies(registry, lats, self._thresholds)
         return counts
 
     def skip_quiet_polls(
@@ -226,14 +222,19 @@ class SetSweep:
             metrics.counter("probe.accesses").inc(skipped * n)
             registry = quality_registry(tele)
             if registry is not None:
-                record_probe_latencies(registry, lats, self._thresholds, skipped)
+                self._batcher.add_copies(registry, lats, skipped)
             metrics.counter("path.chase_poll.skipped").inc(skipped)
             metrics.counter("path.chase_poll.skipped_cycles").inc(skipped * period)
         return skipped
 
 
 class ProbeMonitor:
-    """Prime+probe driver over a fixed monitor list."""
+    """Prime+probe driver over a fixed monitor list.
+
+    Every sweep is one :class:`SetSweep` probe over the whole list; the
+    sweep is rebuilt on each recovery, so healed sets and recalibrated
+    thresholds take effect from the next sweep on.
+    """
 
     def __init__(
         self, process, eviction_sets: list[EvictionSet], supervisor=None
@@ -242,76 +243,24 @@ class ProbeMonitor:
             raise ValueError("monitor list is empty")
         self.process = process
         self.sets = list(eviction_sets)
+        self._sweep = SetSweep(process, self.sets)
         #: Optional :class:`~repro.attack.adaptive.AdaptiveSupervisor`.
         #: When absent (the default) no adaptive machinery runs and the
         #: sample loop is bit-identical to pre-adaptive builds.
         self.supervisor = supervisor
         if supervisor is not None:
             supervisor.track(*self.sets)
-        #: Concatenated traversal arrays per orientation signature.  A
-        #: zig-zag sweep alternates between two signatures, so this holds
-        #: two entries in steady state; interleaved per-set probes just
-        #: miss the cache and rebuild.
-        self._sweep_cache: dict[bytes, tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
-        self._lens: np.ndarray | None = None
-        self._offsets: np.ndarray | None = None
-        self._thresholds: np.ndarray | None = None
-        #: Lazily-created quality-hook batcher; flushed when probing stops.
-        self._quality_acc: ProbeSweepAccumulator | None = None
-
-    def _sweep_arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(paddrs, flats, lines) of the full probe-order sweep, cached.
-
-        Keyed by each set's flip parity: after a whole-monitor sweep every
-        set flips together, so steady-state sampling ping-pongs between
-        two cached signatures and never re-concatenates.
-        """
-        key = bytes(es.version & 1 for es in self.sets)
-        cached = self._sweep_cache.get(key)
-        if cached is None:
-            parts = [es.probe_order_paddrs() for es in self.sets]
-            decomps = [es.decomp() for es in self.sets]
-            cached = (
-                np.concatenate(parts),
-                np.concatenate([f[::-1] for f, _l in decomps]),
-                np.concatenate([l[::-1] for _f, l in decomps]),
-            )
-            if len(self._sweep_cache) >= 4:
-                self._sweep_cache.clear()
-            self._sweep_cache[key] = cached
-        if self._lens is None:
-            self._lens = np.fromiter(
-                (len(es) for es in self.sets), np.int64, count=len(self.sets)
-            )
-            self._offsets = np.concatenate(([0], np.cumsum(self._lens)[:-1]))
-            self._thresholds = np.repeat(
-                np.fromiter(
-                    (es.threshold.threshold for es in self.sets),
-                    np.float64,
-                    count=len(self.sets),
-                ),
-                self._lens,
-            )
-        return cached
 
     def __len__(self) -> int:
         return len(self.sets)
-
-    def refresh_thresholds(self) -> None:
-        """Drop the cached per-access threshold arrays (after an online
-        recalibration changed ``es.threshold`` under us)."""
-        self._lens = None
-        self._offsets = None
-        self._thresholds = None
 
     def _apply_recovery(self, event) -> None:
         """Swap in healed sets / refreshed thresholds, then re-prime."""
         if event.kind == "heal" and event.payload:
             self.sets = list(event.payload)
-            self._sweep_cache.clear()
             self.supervisor.untrack_all()
             self.supervisor.track(*self.sets)
-        self.refresh_thresholds()
+        self._sweep = SetSweep(self.process, self.sets)
         self.prime()
 
     def prime(self) -> None:
@@ -332,92 +281,12 @@ class ProbeMonitor:
         for es in self.sets:
             es.prime()
 
-    def _probe_sweep(self) -> np.ndarray:
-        """One timed sweep over every monitored set as a single batched call.
-
-        Accesses are issued in exactly the order the per-set
-        ``es.probe()`` loop would issue them (set 0's reversed traversal,
-        then set 1's, ...), so events, the clock and every latency are
-        unchanged — only the Python-loop overhead is gone.  Returns the
-        per-set miss counts as an int64 row.
-        """
-        machine = self.process.machine
-        combined, flats, lines = self._sweep_arrays()
-        lats = machine.cpu_access_many(combined, timed=True, decomp=(flats, lines))
-        miss_mask = lats > self._thresholds
-        row = np.add.reduceat(miss_mask.astype(np.int64), self._offsets)
-        for es in self.sets:
-            es.flip()
-        tele = machine.telemetry
-        if tele is not None and tele.metrics.enabled:
-            tele.metrics.histogram("probe.latency_cycles").observe_many(lats)
-            tele.metrics.counter("probe.accesses").inc(len(combined))
-            total_misses = int(miss_mask.sum())
-            if total_misses:
-                tele.metrics.counter("probe.misses").inc(total_misses)
-            registry = quality_registry(tele)
-            if registry is not None:
-                acc = self._quality_acc
-                if acc is None or acc.registry is not registry:
-                    acc = self._quality_acc = ProbeSweepAccumulator(
-                        registry, self._thresholds, self._offsets
-                    )
-                acc.add(lats, miss_mask, total_misses)
-        return row
-
-    def _fast_sweep(self) -> np.ndarray:
-        """One aggregate-latency sweep, batched across every set.
-
-        The sequential loop advances ``measure_overhead`` after each set's
-        traversal; batching defers those advances to the end of the sweep.
-        That is unobservable exactly when no event fires inside the
-        sweep's worst-case window (and no partition reads the mid-sweep
-        clock), so outside that window this falls back to the loop.
-        """
-        machine = self.process.machine
-        llc = machine.llc
-        timing = llc.timing
-        combined, flats, lines = self._sweep_arrays()
-        n_sets = len(self.sets)
-        nxt = machine.events.peek_time()
-        worst = (
-            len(combined) * timing.llc_miss_latency
-            + n_sets * timing.measure_overhead
-        )
-        if llc.partition is not None or (
-            nxt is not None and nxt - machine.clock.now <= worst
-        ):
-            return np.fromiter(
-                (es.probe_fast() for es in self.sets), np.int64, count=n_sets
-            )
-        lats = machine.cpu_access_many(combined, decomp=(flats, lines))
-        for es in self.sets:
-            es.flip()
-        machine.clock.advance(n_sets * timing.measure_overhead)
-        totals = np.add.reduceat(lats, self._offsets)
-        baselines = self._lens * timing.llc_hit_latency
-        est = np.round(
-            (totals - baselines) / (timing.llc_miss_latency - timing.llc_hit_latency)
-        ).astype(np.int64)
-        return np.maximum(est, 0)
-
     def probe_once(self) -> list[int]:
         """One sweep over all monitored sets; returns per-set miss counts."""
-        row = self._probe_sweep()
-        if self._quality_acc is not None:
-            self._quality_acc.flush()
-        return [int(v) for v in row]
+        return [int(v) for v in self._sweep.probe()]
 
-    def sample(
-        self,
-        n_samples: int,
-        wait_cycles: int = 0,
-        fast_probe: bool = False,
-    ) -> SampleTrace:
+    def sample(self, n_samples: int, wait_cycles: int = 0) -> SampleTrace:
         """Run the PRIME - IDLE(wait_cycles) - PROBE loop ``n_samples`` times.
-
-        ``fast_probe`` uses aggregate-latency probing (one timer read per
-        set instead of per access), roughly tripling the probe rate.
 
         The trace matrix is preallocated and each sweep's miss-count row
         is written in place — no per-sweep Python lists anywhere on the
@@ -441,17 +310,12 @@ class ProbeMonitor:
                     cat="attack",
                     args={"sample": i, "sim_now": machine.clock.now},
                 ):
-                    if fast_probe:
-                        row = self._fast_sweep()
-                    else:
-                        row = self._probe_sweep()
+                    row = self._sweep.probe()
                 tele.tracer.counter(
                     "probe.misses", {"misses": int(row.sum())}, cat="attack"
                 )
-            elif fast_probe:
-                row = self._fast_sweep()
             else:
-                row = self._probe_sweep()
+                row = self._sweep.probe()
             samples[i] = row
             if self.supervisor is not None:
                 event = self.supervisor.observe(int((row > 0).sum()), row.size)
@@ -459,27 +323,8 @@ class ProbeMonitor:
                     self._apply_recovery(event)
         if tele is not None and tele.metrics.enabled:
             tele.metrics.counter("probe.sweeps").inc(n_samples)
-        if self._quality_acc is not None:
-            self._quality_acc.flush()
         return SampleTrace(
             samples=samples,
             times=times,
             set_labels=[es.label or str(es.set_index) for es in self.sets],
         )
-
-    def probe_duration_estimate(self, fast_probe: bool = False) -> int:
-        """Cycles one full probe sweep takes, assuming all hits.
-
-        Useful for choosing ``wait_cycles`` to hit a target probe rate.
-        A ``fast_probe`` sweep pays the timer overhead once per *set*
-        (one fence around each traversal) rather than once per access.
-        """
-        timing = self.process.machine.llc.timing
-        n_accesses = sum(len(es) for es in self.sets)
-        if fast_probe:
-            return (
-                n_accesses * timing.llc_hit_latency
-                + len(self.sets) * timing.measure_overhead
-            )
-        per_access = timing.llc_hit_latency + timing.measure_overhead
-        return n_accesses * per_access

@@ -4,7 +4,6 @@ Measures, on the bench-scale machine (256 monitored sets x 12 ways):
 
 * ``probe_sweep_ms``      — one timed PRIME+PROBE sweep through the packed
   engine (one batched machine call per sweep);
-* ``fast_sweep_ms``       — the aggregate-latency (one fence per set) sweep;
 * ``legacy_sweep_ms``     — the same timed sweep replayed per-line through
   the frozen :class:`~repro.cache.legacy.LegacySlicedLLC`, i.e. the
   pre-refactor cost of exactly the same accesses;
@@ -98,16 +97,11 @@ def build_monitor(machine: Machine) -> ProbeMonitor:
     return monitor
 
 
-def bench_engine_sweeps(monitor: ProbeMonitor, rounds: int) -> tuple[float, float]:
+def bench_engine_sweeps(monitor: ProbeMonitor, rounds: int) -> float:
     t0 = time.perf_counter()
     for _ in range(rounds):
         monitor.probe_once()
-    sweep_ms = (time.perf_counter() - t0) / rounds * 1e3
-    monitor.sample(2, fast_probe=True)
-    t0 = time.perf_counter()
-    monitor.sample(rounds, fast_probe=True)
-    fast_ms = (time.perf_counter() - t0) / rounds * 1e3
-    return sweep_ms, fast_ms
+    return (time.perf_counter() - t0) / rounds * 1e3
 
 
 def bench_legacy_sweep(machine: Machine, monitor: ProbeMonitor, rounds: int) -> float:
@@ -414,7 +408,7 @@ def run_benchmarks(rounds: int, skip_fig6: bool, rx_frames: int = 4000) -> dict:
     machine = Machine(config)
     monitor = build_monitor(machine)
     n_accesses = sum(len(es) for es in monitor.sets)
-    sweep_ms, fast_ms = bench_engine_sweeps(monitor, rounds)
+    sweep_ms = bench_engine_sweeps(monitor, rounds)
     legacy_ms = bench_legacy_sweep(machine, monitor, rounds)
     machine_init_ms, legacy_llc_init_ms = bench_init(config)
     result = {
@@ -427,7 +421,6 @@ def run_benchmarks(rounds: int, skip_fig6: bool, rx_frames: int = 4000) -> dict:
         "rounds": rounds,
         "probe_sweep_ms": round(sweep_ms, 4),
         "probe_sweep_us_per_access": round(sweep_ms * 1e3 / n_accesses, 4),
-        "fast_sweep_ms": round(fast_ms, 4),
         "legacy_sweep_ms": round(legacy_ms, 4),
         "sweep_speedup": round(legacy_ms / sweep_ms, 2),
         "machine_init_ms": round(machine_init_ms, 2),
@@ -482,7 +475,6 @@ BENCH_HEADLINE_KEYS = (
     "rx_speedup",
     "analysis_speedup",
     "probe_sweep_ms",
-    "fast_sweep_ms",
     "legacy_sweep_ms",
     "rx_frames_per_s",
     "machine_init_ms",

@@ -192,6 +192,9 @@ class MetricsRegistry:
         #: begin_phase/end_phase (repeated phases accumulate).
         self.phases: dict[str, dict[str, Any]] = {}
         self._phase_stack: list[tuple[str, dict]] = []
+        #: Batchers holding observations not yet folded into histograms
+        #: (see :meth:`defer`); flushed before every read.
+        self._deferred: list = []
 
     # -- get-or-create ------------------------------------------------
     def counter(self, name: str) -> Counter:
@@ -214,9 +217,22 @@ class MetricsRegistry:
             h = self._histograms[name] = Histogram(buckets)
         return h
 
+    # -- deferred observations ----------------------------------------
+    def defer(self, batcher) -> None:
+        """Register a batcher whose ``flush()`` folds pending observations
+        into this registry; every snapshot and phase boundary flushes it
+        first, so no reader ever sees a partial batch."""
+        self._deferred.append(batcher)
+
+    def _flush_deferred(self) -> None:
+        deferred, self._deferred = self._deferred, []
+        for batcher in deferred:
+            batcher.flush()
+
     # -- snapshots ----------------------------------------------------
     def snapshot(self) -> dict:
         """Plain-dict state of every metric (picklable, mergeable)."""
+        self._flush_deferred()
         return {
             "counters": {k: c.value for k, c in self._counters.items()},
             "gauges": {k: g.value for k, g in self._gauges.items()},
@@ -240,6 +256,7 @@ class MetricsRegistry:
     # -- phases -------------------------------------------------------
     def begin_phase(self, name: str) -> None:
         """Start capturing counter/histogram-count deltas under ``name``."""
+        self._flush_deferred()
         base = {
             "counters": {k: c.value for k, c in self._counters.items()},
             "hist_counts": {k: h.count for k, h in self._histograms.items()},
@@ -250,6 +267,7 @@ class MetricsRegistry:
         """Close the innermost phase; returns (and stores) its deltas."""
         if not self._phase_stack:
             raise RuntimeError("end_phase() without begin_phase()")
+        self._flush_deferred()
         name, base = self._phase_stack.pop()
         delta: dict[str, Any] = {}
         for key, counter in self._counters.items():

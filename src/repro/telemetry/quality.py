@@ -263,6 +263,10 @@ def _sweep_snr(lats: np.ndarray, miss_mask: np.ndarray, n_miss: int) -> float:
     return snr(hit_mean, miss_mean, math.sqrt(hit_var), math.sqrt(miss_var))
 
 
+#: Probe sweeps a :class:`ProbeSweepAccumulator` batches before observing.
+PROBE_FLUSH_EVERY = 64
+
+
 class ProbeSweepAccumulator:
     """Batches ``quality.probe`` observations across probe sweeps.
 
@@ -271,74 +275,74 @@ class ProbeSweepAccumulator:
     flipping, i.e. how near that set's hit/miss classification came to the
     threshold.  Fixed-bucket histograms are order-independent, so these
     margins are computed and observed in one vectorized pass per
-    ``flush_every`` sweeps; the steady-state per-sweep hook cost is a list
-    append and two integer comparisons — the sweep's latency array is
-    referenced, not copied (``cpu_access_many`` allocates a fresh array
-    per sweep and the probe path never mutates it).  The SNR estimate
-    still records per mixed-class sweep (that per-sweep separation *is*
-    the quantity being measured), which is rare in quiet probe windows.
+    :data:`PROBE_FLUSH_EVERY` sweeps; the steady-state per-sweep hook cost
+    is a list append and two integer comparisons — the sweep's latency
+    array is referenced, not copied (``cpu_access_many`` allocates a fresh
+    array per sweep and the probe path never mutates it).  The SNR
+    estimate still records per mixed-class sweep (that per-sweep
+    separation *is* the quantity being measured), which is rare in quiet
+    probe windows.
 
-    The owner must call :meth:`flush` when its probing loop ends —
-    ``ProbeMonitor`` does so at the end of ``sample()``/``probe_once()``.
+    ``thresholds`` (a scalar or a per-access vector) and ``offsets`` (each
+    set's start within a sweep) are fixed for the batcher's life: a probe
+    path whose thresholds change starts a new batcher, and the old one's
+    pending sweeps are still measured against the thresholds they were
+    probed with.  The first pending sweep queues the batcher on the
+    registry (:meth:`MetricsRegistry.defer`), which flushes it before any
+    snapshot or phase boundary — owners never flush.
     """
 
-    __slots__ = ("registry", "flush_every", "_pending", "_thresholds", "_offsets")
+    __slots__ = ("registry", "thresholds", "_offsets", "_pending")
 
-    def __init__(
-        self,
-        registry: MetricsRegistry,
-        thresholds: np.ndarray,
-        offsets: np.ndarray,
-        flush_every: int = 64,
-    ) -> None:
-        self.registry = registry
-        #: per-access threshold vector / per-set start offsets into a sweep
-        self._thresholds = thresholds
+    def __init__(self, thresholds, offsets: np.ndarray) -> None:
+        #: The registry this batcher is queued on (None while idle).
+        self.registry: MetricsRegistry | None = None
+        self.thresholds = thresholds
         self._offsets = offsets
-        self.flush_every = flush_every
         self._pending: list[np.ndarray] = []
 
-    def add(self, lats, miss_mask, n_miss: int) -> None:
+    def _per_set_margins(self, block: np.ndarray) -> np.ndarray:
+        """Tightest margin per (sweep, set) of a ``(k, n)`` latency block."""
+        margins = block - self.thresholds
+        np.abs(margins, out=margins)
+        return np.minimum.reduceat(margins, self._offsets, axis=1)
+
+    def add(self, registry: MetricsRegistry, lats, miss_mask, n_miss: int) -> None:
+        """Queue one sweep's latencies (and record its SNR if mixed)."""
+        if registry is not self.registry:
+            self.flush()
+            self.registry = registry
+            registry.defer(self)
         pending = self._pending
         pending.append(lats)
         if 0 < n_miss < lats.size:
             value = _sweep_snr(lats, miss_mask, n_miss)
-            self.registry.gauge("quality.probe.snr_last").set(value)
-            self.registry.histogram("quality.probe.snr", SNR_BUCKETS).observe(value)
-        if len(pending) >= self.flush_every:
-            self.flush()
+            registry.gauge("quality.probe.snr_last").set(value)
+            registry.histogram("quality.probe.snr", SNR_BUCKETS).observe(value)
+        if len(pending) >= PROBE_FLUSH_EVERY:
+            self._observe()
 
-    def flush(self) -> None:
-        if not self._pending:
+    def add_copies(self, registry: MetricsRegistry, lats, repeat: int) -> None:
+        """Record ``repeat`` identical sweeps at once (fast-forwarded polls)."""
+        registry.histogram(
+            "quality.probe.margin_cycles", MARGIN_CYCLES_BUCKETS
+        ).observe_many(self._per_set_margins(lats.reshape(1, -1)).ravel(), repeat)
+
+    def _observe(self) -> None:
+        pending = self._pending
+        if not pending:
             return
-        k = len(self._pending)
-        block = self._pending[0] if k == 1 else np.concatenate(self._pending)
-        margins = block.reshape(k, -1) - self._thresholds
-        np.abs(margins, out=margins)
-        per_set = np.minimum.reduceat(margins, self._offsets, axis=1)
+        k = len(pending)
+        block = pending[0] if k == 1 else np.concatenate(pending)
         self.registry.histogram(
             "quality.probe.margin_cycles", MARGIN_CYCLES_BUCKETS
-        ).observe_many(per_set.ravel())
-        self._pending.clear()
+        ).observe_many(self._per_set_margins(block.reshape(k, -1)).ravel())
+        pending.clear()
 
-
-def record_probe_latencies(
-    registry: MetricsRegistry, lats, threshold, repeat: int = 1
-) -> None:
-    """Margin-only variant for single probes and batched set sweeps.
-
-    ``threshold`` is a scalar (one set's probe) or a per-access float
-    vector aligned with ``lats`` (a :class:`~repro.attack.primeprobe.SetSweep`
-    over sets with differing thresholds); the recorded margins are
-    identical either way.  ``repeat`` records ``repeat`` identical probes
-    at once (fast-forwarded polls).
-    """
-    margins = np.abs(
-        np.asarray(lats, dtype=np.float64) - np.asarray(threshold, dtype=np.float64)
-    )
-    registry.histogram(
-        "quality.probe.margin_cycles", MARGIN_CYCLES_BUCKETS
-    ).observe_many(margins, repeat)
+    def flush(self) -> None:
+        """Observe every pending sweep and leave the registry's queue."""
+        self._observe()
+        self.registry = None
 
 
 def record_evset_report(registry: MetricsRegistry, report) -> None:

@@ -430,6 +430,75 @@ class TestAdaptiveStats:
 
 
 # ---------------------------------------------------------------------------
+# recalibration inside ProbeMonitor.sample
+# ---------------------------------------------------------------------------
+
+class TestMonitorRecalibration:
+    def test_margins_after_recalibration_use_the_new_threshold(self):
+        """Quality margins are measured against the threshold each sweep
+        was classified with — after an online recalibration, the new one.
+
+        Every timed sweep's latencies are captured together with the live
+        per-set thresholds at that moment; the recorded
+        ``quality.probe.margin_cycles`` histogram must equal the one
+        rebuilt from those pairs (tightest per-set margin per sweep).
+        """
+        import numpy as np
+
+        from repro.attack.evictionset import OracleEvictionSetBuilder
+        from repro.attack.primeprobe import ProbeMonitor
+        from repro.telemetry import Histogram, Telemetry
+        from repro.telemetry.quality import MARGIN_CYCLES_BUCKETS
+
+        faults = replace(get_profile("drift"), schedule="step")
+        cfg = replace(MachineConfig().scaled_down(), faults=faults)
+        telemetry = Telemetry.create(trace=False, metrics=True)
+        machine = Machine(cfg, telemetry=telemetry)
+        machine.install_nic()
+        spy = machine.new_process("spy")
+        threshold = calibrate_threshold(spy)
+        groups = OracleEvictionSetBuilder(
+            spy, threshold, huge_pages=4
+        ).build_page_aligned_groups()[:4]
+        supervisor = AdaptiveSupervisor(spy)
+        monitor = ProbeMonitor(spy, groups, supervisor=supervisor)
+
+        sweeps = []
+        issue = machine.cpu_access_many
+
+        def capture(paddrs, write=False, timed=False, decomp=None):
+            lats = issue(paddrs, write=write, timed=timed, decomp=decomp)
+            if timed:
+                live = [
+                    np.full(len(es), es.threshold.threshold) for es in monitor.sets
+                ]
+                sweeps.append((lats.copy(), np.concatenate(live)))
+            return lats
+
+        machine.cpu_access_many = capture
+        monitor.sample(300, wait_cycles=20_000)
+
+        recals = [e for e in supervisor.events if e.kind == "recalibrate"]
+        assert recals and supervisor.threshold.threshold != threshold.threshold
+        after = [t for _lats, t in sweeps if t[0] == supervisor.threshold.threshold]
+        assert after, "no sweep ran after the recalibration"
+
+        expected = Histogram(MARGIN_CYCLES_BUCKETS)
+        starts = np.arange(0, sum(len(es) for es in groups), len(groups[0]))
+        for lats, live in sweeps:
+            margins = np.abs(lats - live)
+            expected.observe_many(np.minimum.reduceat(margins, starts))
+        recorded = telemetry.metrics.snapshot()["histograms"][
+            "quality.probe.margin_cycles"
+        ]
+        assert recorded["count"] == expected.count
+        assert recorded["counts"] == expected.counts
+        assert recorded["min"] == expected.min
+        assert recorded["max"] == expected.max
+        assert recorded["sum"] == pytest.approx(expected.sum, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
 # end-to-end: self-healing against a re-keying backend
 # ---------------------------------------------------------------------------
 

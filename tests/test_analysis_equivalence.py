@@ -18,8 +18,9 @@ bit-for-bit against the verbatim pre-refactor implementations frozen in
 * LFSR — output bits, post-run register state, and symbol rejection
   sampling;
 * activity summaries — counts/fractions plus the no-re-pack cache;
-* ``SetSweep`` — cycle- and telemetry-identity against per-set
-  ``EvictionSet.probe`` loops on mirrored machines;
+* ``SetSweep`` — per-set miss counts, the clock, LLC stats and probe
+  telemetry against a per-access ``Process.timed_access`` loop on
+  mirrored machines, with differing per-set thresholds;
 * the shared percentile-rank rule between ``analysis.stats`` and the
   telemetry ``Histogram``.
 """
@@ -482,7 +483,7 @@ class TestPercentileRule:
 
 
 # ---------------------------------------------------------------------------
-# SetSweep vs per-set probes (mirrored machines)
+# SetSweep vs a per-access timed loop (mirrored machines)
 # ---------------------------------------------------------------------------
 
 
@@ -504,33 +505,91 @@ def _probe_sets(machine, n_sets=6):
     return spy, builder.build_page_aligned_groups()[:n_sets]
 
 
+def _timed_access_sweep(spy, sets, orders):
+    """The reference probe: one ``Process.timed_access`` per line, set by
+    set, each set walked in the reverse of its previous traversal.
+    Returns per-set miss counts and every latency seen, in order."""
+    counts, lats = [], []
+    for es, order in zip(sets, orders):
+        order.reverse()
+        misses = 0
+        for vaddr in order:
+            latency = spy.timed_access(vaddr)
+            lats.append(latency)
+            misses += latency > es.threshold.threshold
+        counts.append(misses)
+    return counts, lats
+
+
 class TestSetSweepEquivalence:
     def test_sweep_is_cycle_and_telemetry_identical(self):
+        from repro.attack.timing import LatencyThreshold
         from repro.net.traffic import ConstantStream
+        from repro.telemetry import Histogram
+        from repro.telemetry.quality import MARGIN_CYCLES_BUCKETS
 
         batched = _mirrored_machine()
         scalar = _mirrored_machine()
         spy_b, sets_b = _probe_sets(batched)
         spy_s, sets_s = _probe_sets(scalar)
+        # Differing per-set thresholds: one below the hit latency (every
+        # line a miss), one above the miss latency (never a miss).
+        base = sets_b[0].threshold.threshold
+        for i, offset in enumerate((0.0, -base + 5.0, 20.0, 400.0, -20.0, 0.5)):
+            for sets in (sets_b, sets_s):
+                old = sets[i].threshold
+                sets[i].threshold = LatencyThreshold(
+                    old.hit_mean, old.miss_mean, base + offset
+                )
         for machine in (batched, scalar):
             sender = ConstantStream(size=256, rate_pps=20_000, protocol="broadcast")
             sender.attach(machine, machine.nic)
         for es in sets_b:
             es.prime()
-        for es in sets_s:
-            es.prime()
+        orders = [list(es.addrs) for es in sets_s]
+        for order in orders:
+            for vaddr in order:
+                spy_s.access(vaddr)
+        assert batched.clock.now == scalar.clock.now
+
+        starts = np.cumsum([0] + [len(es) for es in sets_s[:-1]])
+        thresholds = np.repeat(
+            [es.threshold.threshold for es in sets_s], [len(es) for es in sets_s]
+        )
+        latency_hist = Histogram()
+        margin_hist = Histogram(MARGIN_CYCLES_BUCKETS)
+        n_lats = n_misses = mixed = 0
         sweep = SetSweep(spy_b, sets_b)
         for _ in range(25):
             batched.idle(120_000)
             scalar.idle(120_000)
             row = sweep.probe()
-            loop = [es.probe() for es in sets_s]
-            assert [int(v) for v in row] == loop
+            counts, lats = _timed_access_sweep(spy_s, sets_s, orders)
+            assert [int(v) for v in row] == counts
             assert batched.clock.now == scalar.clock.now
-        assert (
-            batched.telemetry.metrics.snapshot()
-            == scalar.telemetry.metrics.snapshot()
-        )
+            assert [es.addrs for es in sets_b] == orders
+            lats = np.asarray(lats)
+            latency_hist.observe_many(lats)
+            margin_hist.observe_many(
+                np.minimum.reduceat(np.abs(lats - thresholds), starts)
+            )
+            n_lats += lats.size
+            n_misses += sum(counts)
+            mixed += 0 < sum(counts) < lats.size
+        assert batched.llc.stats.snapshot() == scalar.llc.stats.snapshot()
+        assert mixed > 0
+
+        snap = batched.telemetry.metrics.snapshot()
+        assert snap["counters"]["probe.accesses"] == n_lats
+        assert snap["counters"]["probe.misses"] == n_misses
+        for name, expected in (
+            ("probe.latency_cycles", latency_hist),
+            ("quality.probe.margin_cycles", margin_hist),
+        ):
+            recorded = snap["histograms"][name]
+            for key in ("counts", "count", "sum", "min", "max"):
+                assert recorded[key] == getattr(expected, key), (name, key)
+        assert snap["histograms"]["quality.probe.snr"]["count"] == mixed
 
 
 # ---------------------------------------------------------------------------

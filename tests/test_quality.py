@@ -250,6 +250,111 @@ class TestHookSites:
         )
 
 
+@pytest.fixture
+def sweep_set_pairs(monkeypatch):
+    """Counts the (sweep, set) pairs every ``SetSweep`` probes, including
+    the polls the chase fast-forward applies without issuing them."""
+    from repro.attack.primeprobe import SetSweep
+
+    pairs = {"n": 0, "skipped": 0}
+    probe = SetSweep.probe
+    skip = SetSweep.skip_quiet_polls
+
+    def counted_probe(self):
+        pairs["n"] += len(self.sets)
+        return probe(self)
+
+    def counted_skip(self, *args):
+        skipped = skip(self, *args)
+        pairs["n"] += skipped * len(self.sets)
+        pairs["skipped"] += skipped
+        return skipped
+
+    monkeypatch.setattr(SetSweep, "probe", counted_probe)
+    monkeypatch.setattr(SetSweep, "skip_quiet_polls", counted_skip)
+    return pairs
+
+
+def _metered_spy():
+    from repro.attack.setup import MonitorFactory
+    from repro.attack.timing import calibrate_threshold
+    from repro.core.machine import Machine
+
+    telemetry = Telemetry.create(trace=False, metrics=True)
+    machine = Machine(MachineConfig().scaled_down(), telemetry=telemetry)
+    machine.install_nic()
+    spy = machine.new_process("spy")
+    factory = MonitorFactory(machine, spy, calibrate_threshold(spy), huge_pages=4)
+    return telemetry.metrics, machine, spy, factory
+
+
+class TestProbeMarginDefinition:
+    """``quality.probe.margin_cycles`` holds one margin per (sweep, set) —
+    the tightest per-line margin — whichever consumer probed."""
+
+    def _margins(self, registry) -> tuple[int, int]:
+        snap = registry.snapshot()
+        return (
+            snap["histograms"]["quality.probe.margin_cycles"]["count"],
+            snap["counters"]["probe.accesses"],
+        )
+
+    def test_chase_records_one_margin_per_sweep_and_set(self, sweep_set_pairs):
+        import random
+
+        from repro.net.traffic import PoissonNoise
+
+        registry, machine, _spy, factory = _metered_spy()
+        chaser = factory.full_ring_chaser()
+        PoissonNoise(rate_pps=20_000, rng=random.Random(3)).attach(
+            machine, machine.nic
+        )
+        chaser.chase(n_packets=6, timeout_cycles=600_000, poll_wait=1_000)
+        margins, accesses = self._margins(registry)
+        assert sweep_set_pairs["skipped"] > 0  # fast-forwarded polls count too
+        assert margins == sweep_set_pairs["n"]
+        assert accesses > margins
+
+    def test_covert_receiver_records_one_margin_per_sweep_and_set(
+        self, sweep_set_pairs
+    ):
+        from repro.analysis.lfsr import lfsr_symbols
+        from repro.attack.covert import (
+            CovertReceiver,
+            CovertTrojan,
+            run_covert_channel,
+        )
+        from repro.attack.setup import unique_buffer_positions
+
+        registry, machine, spy, factory = _metered_spy()
+        position = unique_buffer_positions(machine)[0]
+        receiver = CovertReceiver(spy, [factory.stream_monitors(position)])
+        trojan = CovertTrojan(alphabet=3, ring_size=32, rate_pps=400_000)
+        run_covert_channel(machine, receiver, trojan, lfsr_symbols(8, 3), 30_000)
+        margins, accesses = self._margins(registry)
+        assert sweep_set_pairs["n"] > 0
+        assert margins == sweep_set_pairs["n"]
+        assert accesses > margins
+
+    def test_snapshot_and_phase_include_the_latest_sweep(self):
+        from repro.attack.primeprobe import ProbeMonitor
+
+        registry, _machine, spy, factory = _metered_spy()
+        sets = factory.buffer_monitor(0, blocks=(0, 1), include_alt=False)
+        monitor = ProbeMonitor(spy, list(sets.blocks.values()))
+        monitor.prime()
+        key = "quality.probe.margin_cycles"
+        monitor.probe_once()
+        with registry.phase("quiet"):
+            pass
+        assert f"{key}.observations" not in registry.phases["quiet"]
+        with registry.phase("sweep"):
+            monitor.probe_once()
+        assert registry.phases["sweep"][f"{key}.observations"] == len(monitor)
+        monitor.probe_once()
+        assert registry.snapshot()["histograms"][key]["count"] == 3 * len(monitor)
+
+
 class TestBitIdentityAtHookSites:
     """Quality hooks must not perturb results — on, off, or absent."""
 

@@ -11,7 +11,8 @@ Measures, on the bench-scale machine (256 monitored sets x 12 ways):
   datapath (burst drains handing whole frame groups to one vectorised
   engine call) vs the frozen scalar one (:mod:`repro.nic.legacy`),
   delivering an identical MTU-heavy frame mix through the event queue;
-  ``rx_direct_*`` isolates the per-frame ``nic.deliver`` template path;
+  ``rx_direct_*`` isolates the per-frame ``nic.deliver`` path (the scalar
+  sequence after one shared receive decision);
 * ``machine_init_ms`` / ``legacy_llc_init_ms`` — LLC construction cost
   (the engine allocates three numpy arrays; the legacy model 16384 dicts);
 * ``backend_overhead``    — the same batched probe sweep run under each
@@ -27,10 +28,11 @@ Measures, on the bench-scale machine (256 monitored sets x 12 ways):
 * ``fig6_seconds``        — end-to-end ``repro run fig6`` (100 driver
   inits through the sharded runner, serial).
 
-The headline numbers are ``sweep_speedup`` = legacy / engine sweep time,
-``rx_speedup`` = legacy / batched rx datapath time, and
-``analysis_speedup`` as above: *ratios of two measurements from the same
-run*, so they are comparable across machines and CI runners.  ``--check BASELINE.json`` fails (exit 1) when a current
+The gated numbers are ``sweep_speedup`` = legacy / engine sweep time,
+``rx_speedup`` = legacy / batched rx datapath time, ``rx_direct_speedup``
+= legacy / per-frame rx time, and ``analysis_speedup`` as above: *ratios
+of two measurements from the same run*, so they are comparable across
+machines and CI runners.  ``--check BASELINE.json`` fails (exit 1) when a current
 ratio falls more than ``--tolerance`` (default 20%) below the committed
 baseline's — i.e. when a hot path got slower relative to its unchanging
 legacy reference.
@@ -186,8 +188,8 @@ def bench_rx(n_frames: int) -> dict:
     which is where the cross-frame burst batching operates (a drained
     window hands ``Nic.deliver_burst`` whole frame groups).  The
     ``rx_direct_*`` secondaries push frames one at a time through
-    ``nic.deliver``, isolating the per-frame template path where
-    cross-frame vectorisation cannot apply.
+    ``nic.deliver``, isolating the per-frame path that every faulty,
+    DDIO-off, partitioned or randomized-index run takes.
     """
     legacy_direct_s = _bench_rx_direct(True, n_frames)
     batched_direct_s = _bench_rx_direct(False, n_frames)
@@ -440,7 +442,12 @@ def run_benchmarks(rounds: int, skip_fig6: bool, rx_frames: int = 4000) -> dict:
 
 #: Ratio metrics gated by ``--check``: each must stay within tolerance of
 #: the committed baseline (ratios transfer across runners; absolutes don't).
-GATED_RATIOS = ("sweep_speedup", "rx_speedup", "analysis_speedup")
+GATED_RATIOS = (
+    "sweep_speedup",
+    "rx_speedup",
+    "rx_direct_speedup",
+    "analysis_speedup",
+)
 
 
 def check_against(result: dict, baseline: dict, tolerance: float) -> int:
@@ -473,6 +480,7 @@ def check_against(result: dict, baseline: dict, tolerance: float) -> int:
 BENCH_HEADLINE_KEYS = (
     "sweep_speedup",
     "rx_speedup",
+    "rx_direct_speedup",
     "analysis_speedup",
     "probe_sweep_ms",
     "legacy_sweep_ms",

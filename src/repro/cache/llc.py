@@ -510,106 +510,10 @@ class SlicedLLC:
             self._retire(engine.evict_lru(flat), by_io=True)
         engine.insert(flat, line, LINE_IO | LINE_DIRTY)
 
-    def io_write_many(
-        self,
-        paddrs: np.ndarray,
-        now: int = 0,
-        decomp: tuple[np.ndarray, np.ndarray] | None = None,
-    ) -> None:
-        """Batched :meth:`io_write`: one inbound-DMA burst, one engine call.
-
-        Semantically a loop of ``io_write`` over ``paddrs`` in order.  The
-        vectorised kernel (:meth:`CacheEngine.io_fill_many`) requires that
-        no two writes land in the same set and that victim selection stays
-        with the vanilla DDIO policy, so the call falls back to the exact
-        scalar loop whenever a partition or an eviction hook is installed,
-        or the batch contains duplicate sets.  The NIC's per-frame bursts
-        (consecutive lines of one rx buffer) always map to distinct sets,
-        so in practice the fallback only triggers under the defense.
-
-        ``decomp`` optionally carries the caller's cached ``(flats,
-        lines)`` decomposition of ``paddrs``.
-        """
-        n = len(paddrs)
-        if n == 0:
-            return
-        if self.partition is not None or self.evict_hook is not None:
-            for paddr in paddrs:
-                self.io_write(int(paddr), now=now)
-            return
-        if self._epochal:
-            decomp = None  # may predate a re-key; recompute below
-            if self._access_count >= self._epoch_period:
-                self._rekey(now)
-                self._access_count = 0
-            if n > self._epoch_period - self._access_count:
-                # Mid-batch re-key: exact scalar ordering required.
-                for paddr in paddrs:
-                    self.io_write(int(paddr), now=now)
-                return
-        if self._skewed:
-            # Way-restricted victim selection is not modelled by the
-            # vectorised fill kernel; take the exact scalar path.
-            for paddr in paddrs:
-                self.io_write(int(paddr), now=now)
-            return
-        flats, lines = decomp if decomp is not None else self.decompose_many(paddrs)
-        engine = self.engine
-        if not self.ddio.enabled:
-            # Direct to DRAM; snoop-invalidate any cached copies.
-            if self._epochal:
-                self._access_count += n
-            self.traffic.writes += n
-            hit, _ways = engine.lookup_many(flats, lines)
-            # A line can repeat within the batch: the lookup is a pre-state
-            # snapshot, so count only invalidations that actually happen.
-            for i in np.flatnonzero(hit):
-                if engine.invalidate(int(flats[i]), int(lines[i])) is not None:
-                    self.stats.invalidations += 1
-            return
-        if self.ddio.write_allocate_ways < 1:
-            # Degenerate cap: the scalar path's cap-eviction becomes a
-            # no-op on io-free sets and its full-set insert evicts without
-            # retirement accounting — semantics the kernel does not model.
-            for paddr in paddrs:
-                self.io_write(int(paddr), now=now)
-            return
-        if len(np.unique(flats)) != n:
-            for paddr in paddrs:
-                self.io_write(int(paddr), now=now)
-            return
-        if self._epochal:
-            self._access_count += n
-        resident, evicted_lines, evicted_flags = engine.io_fill_many(
-            flats, lines, self.ddio.write_allocate_ways
-        )
-        n_hits = int(resident.sum())
-        n_fills = n - n_hits
-        self.stats.io_hits += n_hits
-        if not n_fills:
-            return
-        self.stats.io_fills += n_fills
-        if self.io_fill_hook is not None:
-            for flat in flats[~resident].tolist():
-                self.io_fill_hook(flat)
-        if self.telemetry is not None:
-            self.telemetry.on_dma_fill(n_fills)
-        # Retire the evicted lines (all evicted by I/O fills).
-        evicted = np.flatnonzero(evicted_lines != -1)
-        if not len(evicted):
-            return
-        ev_flags = evicted_flags[evicted]
-        dirty = int((ev_flags & LINE_DIRTY != 0).sum())
-        self.stats.writebacks += dirty
-        self.traffic.writes += dirty
-        victims_io = (ev_flags & LINE_IO) != 0
-        self.stats.io_evicted_io += int(victims_io.sum())
-        n_cpu = int(len(evicted) - victims_io.sum())
-        if n_cpu:
-            self.stats.io_evicted_cpu += n_cpu
-            if self.telemetry is not None:
-                for i in evicted[~victims_io].tolist():
-                    self.telemetry.on_io_evict_cpu(int(evicted_lines[i]))
+    def io_write_many(self, paddrs: np.ndarray, now: int = 0) -> None:
+        """One inbound DMA burst: :meth:`io_write` over ``paddrs`` in order."""
+        for paddr in np.asarray(paddrs, dtype=np.int64).tolist():
+            self.io_write(paddr, now)
 
     def rx_burst(
         self,
@@ -619,7 +523,7 @@ class SlicedLLC:
         stamp_offs: np.ndarray,
         total_ops: int,
         folded_hits: int,
-    ) -> bool:
+    ) -> None:
         """Apply a multi-frame rx burst's cache-op stream in one engine call.
 
         The NIC's drained-burst path (:meth:`repro.nic.nic.Nic.
@@ -630,25 +534,12 @@ class SlicedLLC:
         that were folded into ``stamp_offs`` (guaranteed hits, attributed
         here).
 
-        Returns False — with no state touched — when the vanilla-DDIO
-        kernel cannot represent the machine's policy (partition, hooks,
-        DDIO off, degenerate cap, a randomized index backend); the
-        caller then replays the frames through the scalar-equivalent
-        per-frame path.
+        Raises ``ValueError`` when the round kernel cannot model the
+        cache's policy; callers check :meth:`rx_burst_decline` first.
         """
-        if (
-            not self.ddio.enabled
-            or self.ddio.write_allocate_ways < 1
-            or self.partition is not None
-            or self.evict_hook is not None
-            or self.io_fill_hook is not None
-            # Epochal backends: the caller's template decomps may predate
-            # a re-key (and one could fall mid-burst); skewed backends:
-            # the kernel's victim policy is not way-restricted.
-            or self._epochal
-            or self._skewed
-        ):
-            return False
+        reason = self.rx_burst_decline()
+        if reason is not None:
+            raise ValueError(f"rx burst kernel cannot model this cache: {reason}")
         pre_res, ev_pos, ev_lines, ev_flags = self.engine.rx_burst_apply(
             flats, lines, kinds, stamp_offs, total_ops, self.ddio.write_allocate_ways
         )
@@ -669,7 +560,7 @@ class SlicedLLC:
         if n_fills_new and self.telemetry is not None:
             self.telemetry.on_dma_fill(n_fills_new)
         if ev_pos is None:
-            return True
+            return
         dirty = int((ev_flags & LINE_DIRTY != 0).sum())
         stats.writebacks += dirty
         self.traffic.writes += dirty
@@ -684,7 +575,6 @@ class SlicedLLC:
                 for line in ev_lines[io_cpu].tolist():
                     self.telemetry.on_io_evict_cpu(int(line))
         stats.cpu_evicted_io += int((~by_io & victims_io).sum())
-        return True
 
     # ------------------------------------------------------------------
     # Maintenance
@@ -739,10 +629,26 @@ class SlicedLLC:
         elif victim_is_io:
             self.stats.cpu_evicted_io += 1
 
-    def supports_rx_burst(self) -> bool:
-        """Whether the cross-frame rx burst kernel can model this cache's
-        policy (static, unskewed index backend)."""
-        return not (self._epochal or self._skewed)
+    def rx_burst_decline(self) -> str | None:
+        """Why the cross-frame rx burst kernel cannot model this cache's
+        policy, or None when it can.
+
+        The kernel models vanilla DDIO with a cap of at least one way
+        (``ddio_off`` otherwise), LRU victims chosen by the cache itself
+        (``partition``), no per-eviction or per-fill observer (``hook``)
+        and a static, unskewed index (``backend``: a re-key may land
+        mid-burst and the caller's decompositions may predate it, and the
+        kernel's victims are not way-restricted).
+        """
+        if not self.ddio.enabled or self.ddio.write_allocate_ways < 1:
+            return "ddio_off"
+        if self.partition is not None:
+            return "partition"
+        if self.evict_hook is not None or self.io_fill_hook is not None:
+            return "hook"
+        if self._epochal or self._skewed:
+            return "backend"
+        return None
 
     # ------------------------------------------------------------------
     # Introspection (instrumentation / ground truth, not attacker-visible)

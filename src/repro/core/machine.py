@@ -188,7 +188,6 @@ class Machine:
         differential harness and benchmark only.
         """
         # Imported here to keep core free of a package cycle.
-        from repro.nic.nic import RxTemplates
         from repro.nic.ring import RxRing
 
         if legacy:
@@ -226,28 +225,15 @@ class Machine:
                 self.ring = build_ring()
         else:
             self.ring = build_ring()
-        if legacy:
-            self.driver = driver_cls(
-                self,
-                self.ring,
-                config=self.config.ring,
-                shared_page_prob=shared_page_prob,
-                log_receives=log_receives,
-                rng=random.Random(self.config.seed + 3),
-            )
-            self.nic = nic_cls(self, self.ring, self.driver)
-        else:
-            templates = RxTemplates(self.llc, self.config.ring.buffer_size)
-            self.driver = driver_cls(
-                self,
-                self.ring,
-                config=self.config.ring,
-                shared_page_prob=shared_page_prob,
-                log_receives=log_receives,
-                rng=random.Random(self.config.seed + 3),
-                templates=templates,
-            )
-            self.nic = nic_cls(self, self.ring, self.driver, templates=templates)
+        self.driver = driver_cls(
+            self,
+            self.ring,
+            config=self.config.ring,
+            shared_page_prob=shared_page_prob,
+            log_receives=log_receives,
+            rng=random.Random(self.config.seed + 3),
+        )
+        self.nic = nic_cls(self, self.ring, self.driver)
         return self.nic
 
     def restart_networking(self) -> None:

@@ -151,7 +151,9 @@ class TrafficSource(ABC):
         events = machine.events
         nic = self._nic
         burstable = self._burstable()
-        deliver_burst = getattr(nic, "deliver_burst", None) if burstable else None
+        # can_batch implies burstable; asking on every drain of a pure
+        # source lets the NIC count why it declined.
+        deliver_burst = getattr(nic, "deliver_burst", None)
         batch = (
             []
             if deliver_burst is not None and self.pure_frames and nic.can_batch()

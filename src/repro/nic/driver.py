@@ -21,13 +21,14 @@ Receive-path behaviour reproduced here:
   no skb, no flip — yet the payload already sits in the LLC if DDIO wrote
   it there, which is what makes the covert channel stealthy.
 
-Since the rx-datapath refactor each of those touch sequences is a slice of
-a precomputed per-buffer block template (:class:`repro.nic.nic.
-RxTemplates`) issued through one batched :meth:`~repro.cache.llc.
-SlicedLLC.access_many` call, and the skb slab writes ride a precomputed
-decomposition of the recycled slab region.  The scalar original is frozen
-in :mod:`repro.nic.legacy` and pinned bit-identical by
-``tests/test_rx_equivalence.py``.
+Each received frame runs in two steps: :meth:`IgbDriver.decide` makes
+every receive decision (stats, log, skb slab cursor, page flip or
+replacement, randomizer) and :meth:`IgbDriver.touch` issues the frame's
+cache accesses as plain ``cpu_access`` calls, in the order the scalar
+reference :mod:`repro.nic.legacy` issues them.  The cross-frame burst
+path (:meth:`repro.nic.nic.Nic.deliver_burst`) shares ``decide`` and
+folds the touches into one engine call instead; both are pinned
+bit-identical to the reference by ``tests/test_rx_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -84,7 +85,6 @@ class IgbDriver:
         shared_page_prob: float = 0.0,
         log_receives: bool = False,
         rng: random.Random | None = None,
-        templates=None,
     ) -> None:
         self.machine = machine
         self.ring = ring
@@ -98,16 +98,10 @@ class IgbDriver:
         #: Optional randomization defense (see repro.defense.randomization).
         self.randomizer = None
         self._line = machine.llc.geometry.line_size
-        #: Shared per-buffer block templates (set by Machine.install_nic to
-        #: the same object the NIC uses; built lazily when constructed bare).
-        if templates is None:
-            from repro.nic.nic import RxTemplates
-
-            templates = RxTemplates(machine.llc, self.config.buffer_size)
-        self.templates = templates
         # skb slab: a modest recycled kernel region the copy path writes to.
-        # The region is fixed at driver init, so its translation and cache
-        # decomposition are precomputed once and sliced per write.
+        # The region is fixed at driver init, so its translation (and, for
+        # the burst path, its cache decomposition) is precomputed once and
+        # sliced per write.
         self._skb_region = machine.kernel.mmap(16)
         self._skb_cursor = 0
         self._skb_lines = 16 * machine.physmem.page_size // self._line
@@ -129,6 +123,8 @@ class IgbDriver:
     # ------------------------------------------------------------------
     # Receive path
     # ------------------------------------------------------------------
+    _PATH_BCAST, _PATH_COPY, _PATH_FRAG = 0, 1, 2
+
     def receive(self, frame: Frame, buffer: RxBuffer, ring_slot: int) -> None:
         """Process one frame that the NIC has DMA'd into ``buffer``."""
         tele = self.machine.telemetry
@@ -148,9 +144,26 @@ class IgbDriver:
         self._receive(frame, buffer, ring_slot)
 
     def _receive(self, frame: Frame, buffer: RxBuffer, ring_slot: int) -> None:
-        llc = self.machine.llc
         now = self.machine.clock.now
+        # Read before deciding: the decision may flip or replace the buffer.
         base = buffer.dma_paddr
+        path, skb_a, skb_b = self.decide(frame, buffer, ring_slot, now)
+        self.touch(path, base, frame.n_blocks(self._line), skb_a, skb_b, now)
+
+    def decide(
+        self, frame: Frame, buffer: RxBuffer, ring_slot: int, now: int
+    ) -> tuple[int, tuple[int, int], tuple[int, int]]:
+        """The receive path's control flow — stats, log, skb cursor, page
+        flip/replace, randomizer — without its cache touches.
+
+        None of these decisions read cache state and no touch reads
+        decision state, so both receive paths run the decision first:
+        :meth:`receive` then issues :meth:`touch`, the burst path
+        (:meth:`repro.nic.nic.Nic.deliver_burst`) defers the touches to
+        one engine call.  Returns ``(path, skb_a, skb_b)`` where the skb
+        slices are ``(start, stop)`` index ranges into the slab arrays
+        (the second non-empty only when the cursor wraps).
+        """
         self.stats.frames += 1
         if self.log_receives:
             self.receive_log.append(
@@ -158,88 +171,41 @@ class IgbDriver:
                     time=now,
                     ring_slot=ring_slot,
                     page_paddr=buffer.page_paddr,
-                    dma_paddr=base,
+                    dma_paddr=buffer.dma_paddr,
                     n_blocks=frame.n_blocks(self._line),
                     size=frame.size,
                     symbol=frame.symbol,
                 )
             )
         if frame.is_broadcast():
-            # Unknown protocol: header read + unconditional prefetch of the
-            # second block, then dropped before any skb is built.  Two
-            # scalar accesses beat the batch setup cost on this (covert
-            # channel) hot path.
-            llc.cpu_access(base, now=now)
-            llc.cpu_access(base + self._line, now=now)
+            # Unknown protocol: dropped before any skb is built.
             self.stats.discarded += 1
             self._after_packet(buffer)
-            return
-
+            return self._PATH_BCAST, (0, 0), (0, 0)
         if frame.size <= self.config.copy_threshold:
-            self._copy_small(frame, buffer)
+            # memcpy path of igb_add_rx_frag: one skb line per frame block.
+            path = self._PATH_COPY
+            skb_n = frame.n_blocks(self._line)
+            self.stats.copied += 1
         else:
-            self._frag_large(frame, buffer)
-        self._after_packet(buffer)
-
-    def _copy_small(self, frame: Frame, buffer: RxBuffer) -> None:
-        """memcpy path of igb_add_rx_frag: read frame, write into skb.
-
-        One batched call issues the header+prefetch reads (blocks 0 and 1)
-        followed by the copy's read of every frame block — the exact scalar
-        sequence, duplicates included.
-        """
-        llc = self.machine.llc
-        now = self.machine.clock.now
-        n_blocks = frame.n_blocks(self._line)
-        paddrs, flats, lines = self.templates.decomp(buffer.dma_paddr)
-        seq = np.concatenate([paddrs[:2], paddrs[:n_blocks]])
-        decomp = (
-            np.concatenate([flats[:2], flats[:n_blocks]]),
-            np.concatenate([lines[:2], lines[:n_blocks]]),
-        )
-        llc.access_many(seq, now=now, decomp=decomp)
-        self._skb_write(n_blocks)
-        self.stats.copied += 1
-        if buffer.node != self.local_node:
-            # Remote page: put_page + fresh allocation (cannot be reused).
-            self._replace(buffer)
-
-    def _frag_large(self, frame: Frame, buffer: RxBuffer) -> None:
-        """Fragment path: hand the half-page to the stack, try to reuse."""
-        llc = self.machine.llc
-        now = self.machine.clock.now
-        base = buffer.dma_paddr
-        n_blocks = frame.n_blocks(self._line)
-        paddrs, flats, lines = self.templates.decomp(base)
-        if llc.ddio.enabled:
-            # Header + prefetch + payload: blocks 0..n-1 in order (the
-            # payload is already cache-resident; the stack reads it now).
-            llc.access_many(
-                paddrs[:n_blocks],
-                now=now,
-                decomp=(flats[:n_blocks], lines[:n_blocks]),
-            )
+            # Fragment path: skb metadata only; payload stays in the page.
+            path = self._PATH_FRAG
+            skb_n = 2
+            self.stats.fragged += 1
+        cursor = self._skb_cursor
+        wrap = self._skb_lines
+        self._skb_cursor = cursor + skb_n
+        start = cursor % wrap
+        end = start + skb_n
+        if end <= wrap:
+            skb_a, skb_b = (start, end), (0, 0)
         else:
-            # Header read + unconditional prefetch of the second block.
-            llc.access_many(paddrs[:2], now=now, decomp=(flats[:2], lines[:2]))
-            # Without DDIO the stack touches the payload noticeably after
-            # the header (Huggahalli et al.: < 20k cycles) — the lag that
-            # makes size detection of large packets noisier (Section IV-d).
-            delay = llc.timing.payload_touch_delay
-
-            def touch_payload(base=base, n_blocks=n_blocks) -> None:
-                later = self.machine.clock.now
-                p, f, ln = self.templates.decomp(base)
-                llc.access_many(
-                    p[2:n_blocks],
-                    now=later,
-                    decomp=(f[2:n_blocks], ln[2:n_blocks]),
-                )
-
-            self.machine.events.schedule(now + delay, touch_payload, label="payload")
-        self._skb_write(2)  # skb metadata only; payload stays in the page
-        self.stats.fragged += 1
-        if buffer.node != self.local_node or self.rng.random() < self.shared_page_prob:
+            skb_a, skb_b = (start, wrap), (0, end - wrap)
+        if path == self._PATH_COPY:
+            if buffer.node != self.local_node:
+                # Remote page: put_page + fresh allocation (cannot be reused).
+                self._replace(buffer)
+        elif buffer.node != self.local_node or self.rng.random() < self.shared_page_prob:
             self._replace(buffer)
         else:
             buffer.flip(self.config.buffer_size)
@@ -251,6 +217,58 @@ class IgbDriver:
                     cat="driver",
                     args={"slot": buffer.index, "offset": buffer.page_offset},
                 )
+        self._after_packet(buffer)
+        return path, skb_a, skb_b
+
+    def touch(
+        self,
+        path: int,
+        base: int,
+        n: int,
+        skb_a: tuple[int, int],
+        skb_b: tuple[int, int],
+        now: int,
+    ) -> None:
+        """Issue one frame's driver accesses, one ``cpu_access`` per line.
+
+        ``base`` is the buffer's DMA address before :meth:`decide` ran,
+        ``n`` the frame's block count and ``skb_a``/``skb_b`` the slab
+        slices :meth:`decide` returned.  Every path reads the header and
+        prefetches block 1; the copy path then reads every frame block
+        and writes one skb line each, the fragment path reads the payload
+        and writes two skb lines.
+        """
+        llc = self.machine.llc
+        access = llc.cpu_access
+        line = self._line
+        access(base, False, now)
+        access(base + line, False, now)
+        if path == self._PATH_BCAST:
+            return
+        if path == self._PATH_COPY:
+            for addr in range(base, base + n * line, line):
+                access(addr, False, now)
+        elif llc.ddio.enabled:
+            # The payload is already cache-resident; the stack reads it now.
+            for addr in range(base + 2 * line, base + n * line, line):
+                access(addr, False, now)
+        else:
+            # Without DDIO the stack touches the payload noticeably after
+            # the header (Huggahalli et al.: < 20k cycles) — the lag that
+            # makes size detection of large packets noisier (Section IV-d).
+            clock = self.machine.clock
+
+            def touch_payload() -> None:
+                later = clock.now
+                for addr in range(base + 2 * line, base + n * line, line):
+                    access(addr, False, later)
+
+            self.machine.events.schedule(
+                now + llc.timing.payload_touch_delay, touch_payload, label="payload"
+            )
+        for a, b in (skb_a, skb_b):
+            for paddr in self._skb_paddrs[a:b].tolist():
+                access(paddr, True, now)
 
     def _replace(self, buffer: RxBuffer) -> None:
         tele = self.machine.telemetry
@@ -274,95 +292,8 @@ class IgbDriver:
             self.randomizer.on_packet(self, buffer)
 
     # ------------------------------------------------------------------
-    # skb slab
-    # ------------------------------------------------------------------
-    def _skb_write(self, n_lines: int) -> None:
-        """Write ``n_lines`` cache lines of skb data (recycled slab)."""
-        llc = self.machine.llc
-        now = self.machine.clock.now
-        cursor = self._skb_cursor
-        wrap = self._skb_lines
-        self._skb_cursor = cursor + n_lines
-        start = cursor % wrap
-        if start + n_lines <= wrap:
-            # Contiguous run: slice views, no fancy-index copies.
-            sl = slice(start, start + n_lines)
-            llc.access_many(
-                self._skb_paddrs[sl],
-                write=True,
-                now=now,
-                decomp=(self._skb_flats[sl], self._skb_line_ids[sl]),
-            )
-            return
-        idx = [(start + i) % wrap for i in range(n_lines)]
-        llc.access_many(
-            self._skb_paddrs[idx],
-            write=True,
-            now=now,
-            decomp=(self._skb_flats[idx], self._skb_line_ids[idx]),
-        )
-
-    # ------------------------------------------------------------------
     # Cross-frame burst path (see Nic.deliver_burst)
     # ------------------------------------------------------------------
-    _PATH_BCAST, _PATH_COPY, _PATH_FRAG = 0, 1, 2
-
-    def _burst_prep(
-        self, frame: Frame, buffer: RxBuffer, ring_slot: int, now: int
-    ) -> tuple[int, tuple[int, int], tuple[int, int]]:
-        """Phase-1 receive: all of :meth:`_receive`'s control flow — stats,
-        log, skb cursor, page flip/replace, randomizer — with the cache
-        touches deferred to the caller's burst.  None of these decisions
-        read cache state, so running them ahead of the deferred touches is
-        unobservable.  Returns ``(path, skb_a, skb_b)`` where the skb
-        slices are ``(start, stop)`` index ranges into the slab arrays
-        (the second non-empty only when the cursor wraps).
-        """
-        self.stats.frames += 1
-        if self.log_receives:
-            self.receive_log.append(
-                ReceiveRecord(
-                    time=now,
-                    ring_slot=ring_slot,
-                    page_paddr=buffer.page_paddr,
-                    dma_paddr=buffer.dma_paddr,
-                    n_blocks=frame.n_blocks(self._line),
-                    size=frame.size,
-                    symbol=frame.symbol,
-                )
-            )
-        if frame.is_broadcast():
-            self.stats.discarded += 1
-            self._after_packet(buffer)
-            return self._PATH_BCAST, (0, 0), (0, 0)
-        if frame.size <= self.config.copy_threshold:
-            path = self._PATH_COPY
-            skb_n = frame.n_blocks(self._line)
-            self.stats.copied += 1
-        else:
-            path = self._PATH_FRAG
-            skb_n = 2
-            self.stats.fragged += 1
-        cursor = self._skb_cursor
-        wrap = self._skb_lines
-        self._skb_cursor = cursor + skb_n
-        start = cursor % wrap
-        end = start + skb_n
-        if end <= wrap:
-            skb_a, skb_b = (start, end), (0, 0)
-        else:
-            skb_a, skb_b = (start, wrap), (0, end - wrap)
-        if path == self._PATH_COPY:
-            if buffer.node != self.local_node:
-                self._replace(buffer)
-        elif buffer.node != self.local_node or self.rng.random() < self.shared_page_prob:
-            self._replace(buffer)
-        else:
-            buffer.flip(self.config.buffer_size)
-            self.stats.page_flips += 1
-        self._after_packet(buffer)
-        return path, skb_a, skb_b
-
     def _burst_template(self, path: int, n: int) -> tuple:
         """Footprint-op template for one received frame: ``(kinds,
         final_offs, span, folded_hits, buf_ops)``.
@@ -424,16 +355,3 @@ class IgbDriver:
             tmpl = (kinds, offs, 2 * n + 2, n, n)
         self._burst_tmpl[key] = tmpl
         return tmpl
-
-    def _skb_replay(self, skb_a: tuple[int, int], skb_b: tuple[int, int]) -> None:
-        """Scalar-equivalent skb writes for a burst frame being replayed."""
-        llc = self.machine.llc
-        now = self.machine.clock.now
-        for a, b in (skb_a, skb_b):
-            if b > a:
-                llc.access_many(
-                    self._skb_paddrs[a:b],
-                    write=True,
-                    now=now,
-                    decomp=(self._skb_flats[a:b], self._skb_line_ids[a:b]),
-                )

@@ -4,10 +4,12 @@ These are verbatim copies of :class:`repro.nic.nic.Nic` and
 :class:`repro.nic.driver.IgbDriver` as they stood before the rx datapath
 moved onto the batched cache-engine kernels: one ``llc.io_write`` /
 ``llc.cpu_access`` Python call per cache block, in the exact order the
-original code issued them.  They exist solely as the reference side of the
-differential harness (``tests/test_rx_equivalence.py``) and the rx
-benchmark (``repro.bench``), the same role :mod:`repro.cache.legacy` plays
-for the cache engine.
+original code issued them.  The production per-frame path
+(``Nic.deliver`` → ``IgbDriver.decide`` + ``IgbDriver.touch``) issues the
+same calls again; this module stays as the frozen reference side of the
+differential harness (``tests/test_rx_equivalence.py``) and of the rx
+benchmark gates (``repro.bench``), the same role
+:mod:`repro.cache.legacy` plays for the cache engine.
 
 Production code must not import this module; construct the frozen path via
 ``Machine.install_nic(legacy=True)``.

@@ -9,12 +9,12 @@ I/O-to-driver latency) and when the stack touches the payload (later
 still), which delays and blurs — but does not eliminate — the signal
 (Section IV-d of the paper).
 
-Since the rx-datapath refactor the per-frame DMA burst is issued as one
-batched engine call (:meth:`repro.cache.llc.SlicedLLC.io_write_many`)
-over a precomputed block-address template (:class:`RxTemplates`) instead
-of a Python loop of scalar ``io_write`` calls.  The pre-batching path is
-frozen in :mod:`repro.nic.legacy` and pinned bit-identical by
-``tests/test_rx_equivalence.py``.
+The per-frame path (:meth:`Nic.deliver`) DMAs a frame as one
+:meth:`~repro.cache.llc.SlicedLLC.io_write` per block.  Frames a traffic
+source drains back-to-back go through :meth:`Nic.deliver_burst` instead,
+which folds many frames' cache work into one engine call when
+:meth:`Nic.can_batch` holds.  Both are pinned bit-identical to the scalar
+reference :mod:`repro.nic.legacy` by ``tests/test_rx_equivalence.py``.
 """
 
 from __future__ import annotations
@@ -47,15 +47,14 @@ class NicStats(CounterStats):
 
 
 class RxTemplates:
-    """Per-buffer block-address templates for the batched rx datapath.
+    """Per-buffer block decompositions for the cross-frame burst path.
 
-    An rx buffer is a fixed run of consecutive cache lines, so every touch
-    sequence the NIC and driver issue against it — the DMA fill, the
-    header+prefetch read, the copy/fragment payload reads — is a slice of
-    one precomputed decomposition of ``base + [0, line, 2*line, ...]``.
-    The template is computed once per buffer base address and shared by
-    the NIC and the driver; the cache is bounded because the
-    randomization defenses replace buffer pages continuously.
+    An rx buffer is a fixed run of consecutive cache lines, so every op
+    the burst path folds for a frame — the DMA fills and the driver's
+    reads of the buffer — is a slice of one precomputed decomposition of
+    ``base + [0, line, 2*line, ...]``.  The template is computed once per
+    buffer base address; the cache is bounded because the randomization
+    defenses replace buffer pages continuously.
     """
 
     _MAX_ENTRIES = 4096
@@ -85,32 +84,20 @@ class RxTemplates:
 class Nic:
     """The adapter: accepts frames, DMAs them, and signals the driver."""
 
-    def __init__(
-        self,
-        machine,
-        ring: RxRing,
-        driver: IgbDriver,
-        templates: RxTemplates | None = None,
-    ) -> None:
+    def __init__(self, machine, ring: RxRing, driver: IgbDriver) -> None:
         self.machine = machine
         self.ring = ring
         self.driver = driver
         self.stats = NicStats()
         self._line = machine.llc.geometry.line_size
-        self.templates = templates or RxTemplates(
-            machine.llc, ring.config.buffer_size
-        )
+        self.templates = RxTemplates(machine.llc, ring.config.buffer_size)
 
     def _dma_fill(self, base: int, n_blocks: int, now: int) -> None:
-        """DMA every block of the frame into the cache hierarchy — the one
-        place the fill loop lives (it used to be duplicated per tracer
-        branch), now a single batched engine call."""
-        paddrs, flats, lines = self.templates.decomp(base)
-        self.machine.llc.io_write_many(
-            paddrs[:n_blocks],
-            now=now,
-            decomp=(flats[:n_blocks], lines[:n_blocks]),
-        )
+        """DMA every block of the frame into the cache hierarchy."""
+        io_write = self.machine.llc.io_write
+        line = self._line
+        for addr in range(base, base + n_blocks * line, line):
+            io_write(addr, now)
 
     def deliver(self, frame: Frame) -> None:
         """Receive one frame at the current simulated time."""
@@ -148,6 +135,8 @@ class Nic:
             self._dma_fill(base, n_blocks, now)
         self.stats.frames += 1
         self.stats.blocks_written += n_blocks
+        if tele is not None and tele.metrics.enabled:
+            tele.metrics.counter("path.rx.direct").inc()
 
         # An injected descriptor-refill stall delays the driver's receive
         # processing (softirq starvation / delayed refill), on top of the
@@ -177,24 +166,23 @@ class Nic:
     def can_batch(self) -> bool:
         """Whether :meth:`deliver_burst` may batch cache work across frames.
 
-        Static machine-level conditions only — per-packet hooks that
-        observe individual fills or evictions, a partition's victim
-        policy, DDIO off (receives detour through the event queue) and
-        fault plans (per-frame drop/stall draws) all force the per-frame
-        path.  The engine may still decline an individual burst
-        (cache-state dependent), which :meth:`deliver_burst` handles by
-        replaying that burst through the scalar-equivalent sequence.
+        The burst kernel must model the cache's policy
+        (:meth:`~repro.cache.llc.SlicedLLC.rx_burst_decline`), and no fault
+        plan may draw per-frame drops or stalls.  Called once per traffic
+        drain; with metrics on, a decline counts
+        ``path.rx.decline.<reason>``.
         """
-        llc = self.machine.llc
-        return (
-            llc.ddio.enabled
-            and llc.ddio.write_allocate_ways >= 1
-            and llc.partition is None
-            and llc.evict_hook is None
-            and llc.io_fill_hook is None
-            and llc.supports_rx_burst()
-            and self.machine.faults is None
-        )
+        machine = self.machine
+        if machine.faults is not None:
+            reason = "faults"
+        else:
+            reason = machine.llc.rx_burst_decline()
+        if reason is None:
+            return True
+        tele = machine.telemetry
+        if tele is not None and tele.metrics.enabled:
+            tele.metrics.counter(f"path.rx.decline.{reason}").inc()
+        return False
 
     def deliver_burst(self, batch: list[tuple[int, "Frame"]]) -> None:
         """Deliver ``[(arrival_cycle, frame), ...]`` back-to-back.
@@ -208,12 +196,9 @@ class Nic:
         the concatenated cache-op stream of all frames in one
         :meth:`~repro.cache.llc.SlicedLLC.rx_burst` engine call (a
         round-by-rank kernel, see
-        :meth:`~repro.cache.engine.CacheEngine.rx_burst_apply`); should
-        the LLC refuse the stream outright (policy changed under us —
-        cannot happen from a drain, kept as a safety net), each frame's
-        exact scalar-equivalent access sequence is replayed instead.
-        Either way the final machine state is bit-identical to a loop of
-        :meth:`deliver` — pinned by ``tests/test_rx_equivalence.py``.
+        :meth:`~repro.cache.engine.CacheEngine.rx_burst_apply`).  The
+        final machine state is bit-identical to a loop of :meth:`deliver`
+        — pinned by ``tests/test_rx_equivalence.py``.
         """
         machine = self.machine
         llc = machine.llc
@@ -226,7 +211,6 @@ class Nic:
         template = driver._burst_template
         skb_flats = driver._skb_flats
         skb_lines = driver._skb_line_ids
-        recs = []
         flat_parts: list[np.ndarray] = []
         line_parts: list[np.ndarray] = []
         kind_parts: list[np.ndarray] = []
@@ -246,7 +230,7 @@ class Nic:
             n = frame.n_blocks(line)
             stats.frames += 1
             stats.blocks_written += n
-            path, skb_a, skb_b = driver._burst_prep(frame, buffer, ring_slot, at)
+            path, skb_a, skb_b = driver.decide(frame, buffer, ring_slot, at)
             kinds_t, offs_t, span_t, folded_t, buf_ops = template(path, n)
             flat_parts.append(entry[1][:buf_ops])
             line_parts.append(entry[2][:buf_ops])
@@ -260,8 +244,7 @@ class Nic:
             lens.append(len(offs_t))
             span_total += span_t
             folded += folded_t
-            recs.append((path, n, entry, skb_a, skb_b))
-        if not recs:
+        if not lens:
             return
         flats = np.concatenate(flat_parts)
         lines = np.concatenate(line_parts)
@@ -269,30 +252,7 @@ class Nic:
         offs = np.concatenate(off_parts) + np.repeat(
             np.asarray(bases, dtype=np.int64), lens
         )
-        if not llc.rx_burst(flats, lines, kinds, offs, span_total, folded):
-            for rec in recs:
-                self._burst_replay(rec)
-
-    def _burst_replay(self, rec: tuple) -> None:
-        """Exact scalar-equivalent cache-op sequence for one burst frame
-        whose phase-1 bookkeeping already ran."""
-        path, n, entry, skb_a, skb_b = rec
-        llc = self.machine.llc
-        driver = self.driver
-        paddrs, flats, lines = entry
-        llc.io_write_many(paddrs[:n], decomp=(flats[:n], lines[:n]))
-        if path == driver._PATH_BCAST:
-            base = int(paddrs[0])
-            llc.cpu_access(base)
-            llc.cpu_access(base + self._line)
-            return
-        if path == driver._PATH_COPY:
-            seq = np.concatenate([paddrs[:2], paddrs[:n]])
-            decomp = (
-                np.concatenate([flats[:2], flats[:n]]),
-                np.concatenate([lines[:2], lines[:n]]),
-            )
-            llc.access_many(seq, decomp=decomp)
-        else:
-            llc.access_many(paddrs[:n], decomp=(flats[:n], lines[:n]))
-        driver._skb_replay(skb_a, skb_b)
+        llc.rx_burst(flats, lines, kinds, offs, span_total, folded)
+        tele = machine.telemetry
+        if tele is not None and tele.metrics.enabled:
+            tele.metrics.counter("path.rx.burst").inc(len(lens))

@@ -9,9 +9,9 @@ Pins the contracts the LLC integration relies on:
 * the modulo backend reproduces the pre-backend inline formula exactly;
 * epoch re-keying accounts every resident line (remapped + dropped ==
   resident before), bumps the epoch, and reseeds the memo;
-* batched ``access_many`` / ``io_write_many`` stay equivalent to scalar
-  loops under keyed and skewed backends (including batches a re-key
-  lands inside);
+* batched ``access_many`` stays equivalent to a scalar loop under keyed
+  and skewed backends (including batches a re-key lands inside), and so
+  does ``io_write_many``, which is itself a loop of ``io_write``;
 * under a skewed backend a line only ever occupies its partition's ways;
 * spec parsing and the CLI surface (``backends list`` / ``--backend``).
 """

@@ -255,6 +255,77 @@ class TestStatsReduction:
         assert a == NicStats()
 
 
+class TestRxPathCounters:
+    """``path.rx.*`` records which rx path each frame took and why a
+    traffic drain could not batch."""
+
+    N_FRAMES = 40
+
+    def _counters(self, ddio: bool) -> dict[str, int]:
+        from dataclasses import replace
+
+        from repro.core.config import DDIOConfig, MachineConfig
+        from repro.core.machine import Machine
+        from repro.telemetry.context import Telemetry
+
+        telemetry = Telemetry.create(trace=False, metrics=True)
+        config = replace(MachineConfig().scaled_down(), ddio=DDIOConfig(enabled=ddio))
+        machine = Machine(config, telemetry=telemetry)
+        machine.install_nic()
+        source = ConstantStream(
+            size=1514, rate_pps=200_000.0, count=self.N_FRAMES, protocol="tcp"
+        )
+        source.attach(machine, machine.nic)
+        machine.drain_events()
+        assert machine.driver.stats.frames == self.N_FRAMES
+        counters = telemetry.metrics.snapshot()["counters"]
+        return {k: v for k, v in counters.items() if k.startswith("path.rx.")}
+
+    def test_ddio_off_counts_direct_frames_and_decline(self):
+        counters = self._counters(ddio=False)
+        assert set(counters) == {"path.rx.direct", "path.rx.decline.ddio_off"}
+        assert counters["path.rx.direct"] == self.N_FRAMES
+        assert counters["path.rx.decline.ddio_off"] >= 1
+
+    def test_ddio_on_drain_counts_burst_frames(self):
+        assert self._counters(ddio=True) == {"path.rx.burst": self.N_FRAMES}
+
+    def test_one_predicate_names_every_decline(self):
+        """``Nic.can_batch`` and ``SlicedLLC.rx_burst`` share one policy
+        predicate; the burst kernel refuses what it cannot model."""
+        from dataclasses import replace
+
+        import numpy as np
+
+        from repro.cache.hierarchy import CacheHierarchy
+        from repro.core.config import DDIOConfig, MachineConfig
+        from repro.core.machine import Machine
+        from repro.defense.partitioning import AdaptivePartition
+        from repro.faults.profiles import get_profile
+
+        base = MachineConfig().scaled_down()
+        cases = {
+            None: (base, None),
+            "faults": (replace(base, faults=get_profile("light")), None),
+            "ddio_off": (replace(base, ddio=DDIOConfig(enabled=False)), None),
+            "partition": (base, lambda m: AdaptivePartition().install(m)),
+            "hook": (base, lambda m: CacheHierarchy(m.llc)),
+            "backend": (replace(base, cache_backend="keyed:epoch=1000"), None),
+        }
+        empty = np.zeros(0, dtype=np.int64)
+        for reason, (config, setup) in cases.items():
+            machine = Machine(config)
+            machine.install_nic()
+            if setup is not None:
+                setup(machine)
+            assert machine.nic.can_batch() == (reason is None), reason
+            llc_reason = machine.llc.rx_burst_decline()
+            assert llc_reason == (None if reason == "faults" else reason)
+            if llc_reason is not None:
+                with pytest.raises(ValueError, match=llc_reason):
+                    machine.llc.rx_burst(empty, empty, empty, empty, 0, 0)
+
+
 class TestTrafficSources:
     def test_constant_stream_delivers_count(self, nic_machine):
         source = ConstantStream(size=64, rate_pps=1e6, count=10)

@@ -137,7 +137,9 @@ class Rig:
 
 def _strip_path(snap: dict) -> dict:
     return {
-        kind: {k: v for k, v in group.items() if not k.startswith("path.")}
+        kind: {
+            k: v for k, v in group.items() if not k.startswith("path.chase_poll.")
+        }
         for kind, group in snap.items()
         if kind != "phases"
     }
@@ -223,7 +225,9 @@ def test_every_wait_exit_matches_per_poll_loop(backend, ddio, noise, metrics, sk
         assert counters["path.chase_poll.skipped"] == skip_counter["skipped"]
         assert counters["path.chase_poll.polled"] > 0
         assert counters["path.chase_poll.skipped_cycles"] > 0
-        assert not any(k.startswith("path.") for k in ref.registry()["counters"])
+        assert not any(
+            k.startswith("path.chase_poll.") for k in ref.registry()["counters"]
+        )
 
 
 def _quiet_rig_pair(config, metrics=False) -> tuple[Rig, Rig]:

@@ -1,24 +1,26 @@
-"""Differential equivalence: batched rx datapath vs the frozen scalar one.
+"""Differential equivalence: production rx datapath vs the frozen scalar one.
 
-The refactor replaced the NIC's per-block ``io_write`` loop and the
-driver's per-block ``cpu_access`` loops with batched engine calls over
-precomputed block templates, and taught the event loop to drain frame
-bursts without one heap round-trip per frame.  This harness pins the claim
-that none of that is observable: a machine running the frozen scalar path
+The production NIC and driver issue the per-frame path as plain scalar
+calls after one shared decision function, and drain frame bursts through
+a cross-frame round kernel.  This harness pins the claim that neither is
+observable: a machine running the frozen scalar path
 (:mod:`repro.nic.legacy`, ``allow_bursts=False``) and a machine running
-the batched path with bursts enabled replay the same randomized workload —
-mixed frame sizes and protocols, spy probe sweeps interleaved — and must
-finish with bit-identical cache state, cache/NIC/driver stats, receive
-logs, probe latency traces, and clock values.
+the production path with bursts enabled replay the same randomized
+workload — mixed frame sizes and protocols, spy probe sweeps interleaved —
+and must finish with bit-identical cache state, cache/NIC/driver stats,
+receive logs, probe latency traces, and clock values.
 
 The configuration matrix crosses {DDIO on/off} x {faults off/heavy} x
-{partition off/on}, plus a ring-randomization config; over the full
-matrix more than 10k randomized frames are replayed per side.
+{partition off/on}, plus ring randomization (partial and full), a keyed
+index that re-keys mid-frame, a skewed index, an attached L1 hierarchy
+(the back-invalidation hook) and shared-page replacement draws; over the
+full matrix more than 10k randomized frames are replayed per side.
 """
 
 from __future__ import annotations
 
 import random
+import zlib
 
 import pytest
 
@@ -28,6 +30,7 @@ from repro.defense.partitioning import AdaptivePartition, PartitionConfig
 from repro.faults.profiles import get_profile
 from repro.net.packet import Frame
 from repro.net.traffic import PoissonNoise, TrafficSource
+from repro.perf.agent import MemAgent
 
 SIZES = [60, 64, 120, 128, 192, 256, 300, 512, 700, 1024, 1200, 1400, 1514]
 
@@ -56,14 +59,21 @@ def build_machine(
     faults: str,
     partition: bool,
     randomize: bool,
+    backend: str = "modulo",
+    shared_page_prob: float = 0.0,
+    hierarchy: bool = False,
+    full_randomize: bool = False,
 ) -> Machine:
     cfg = MachineConfig().scaled_down()
     cfg.ddio = DDIOConfig(
         enabled=ddio, write_allocate_ways=cfg.ddio.write_allocate_ways
     )
     cfg.faults = get_profile(faults)
+    cfg.cache_backend = backend
     m = Machine(cfg)
-    m.install_nic(log_receives=True, legacy=legacy)
+    m.install_nic(
+        shared_page_prob=shared_page_prob, log_receives=True, legacy=legacy
+    )
     m.allow_bursts = not legacy
     if partition:
         AdaptivePartition(PartitionConfig(period=100_000)).install(m)
@@ -71,6 +81,13 @@ def build_machine(
         from repro.defense.randomization import PartialRandomizer
 
         m.driver.randomizer = PartialRandomizer(interval=16, rng=random.Random(5))
+    if full_randomize:
+        from repro.defense.randomization import FullRandomizer
+
+        m.driver.randomizer = FullRandomizer()
+    # A victim reading through a private L1 installs the LLC's
+    # back-invalidation evict_hook, as the perf workloads do.
+    m.victim = MemAgent(m, "victim") if hierarchy else None
     return m
 
 
@@ -84,11 +101,16 @@ def run_workload(m: Machine, seed: int, n_frames: int) -> list[int]:
     noise.attach(m, m.nic)
     spy = m.new_process("spy")
     vbase = spy.mmap(8)
+    victim = m.victim
+    if victim is not None:
+        victim_base = victim.mmap(8)
     trace: list[int] = []
     for _ in range(12):
         m.idle(80_000)
         for i in range(0, 8 * 4096, 256):
             trace.append(spy.timed_access(vbase + i))
+        if victim is not None:
+            trace.append(victim.read(victim_base, lines=8 * 4096 // 64))
     # Perpetual actors (the partition's adapt tick, the fault co-runner)
     # reschedule themselves forever, so the queue never empties; run to a
     # horizon generously past the last scheduled frame instead of draining.
@@ -113,42 +135,60 @@ def full_state(m: Machine):
         ],
         "ring": m.ring.order_fingerprint(),
         "lines": lines,
+        "l1": None
+        if m.victim is None
+        else [list(s.lines.items()) for s in m.victim.hierarchy.l1.sets],
         "now": m.clock.now,
     }
 
 
-# (ddio, faults, partition, randomize, n_frames); >= 10k frames in total.
+# (ddio, faults, partition, randomize, n_frames, extra build_machine
+# arguments); >= 10k frames in total.
 MATRIX = [
-    (True, "off", False, False, 2600),
-    (True, "off", True, False, 1200),
-    (True, "heavy", False, False, 1200),
-    (True, "heavy", True, False, 1000),
-    (False, "off", False, False, 1200),
-    (False, "off", True, False, 1000),
-    (False, "heavy", False, False, 1000),
-    (False, "heavy", True, False, 1000),
-    (True, "off", False, True, 1200),
+    (True, "off", False, False, 2600, {}),
+    (True, "off", True, False, 1200, {}),
+    (True, "heavy", False, False, 1200, {}),
+    (True, "heavy", True, False, 1000, {}),
+    (False, "off", False, False, 1200, {}),
+    (False, "off", True, False, 1000, {}),
+    (False, "heavy", False, False, 1000, {}),
+    (False, "heavy", True, False, 1000, {}),
+    (True, "off", False, True, 1200, {}),
+    # Re-keys every 300 accesses, so they land inside frames (chase-keyed).
+    (True, "off", False, False, 800, {"backend": "keyed:epoch=300"}),
+    (False, "off", False, False, 600, {"backend": "keyed:epoch=300"}),
+    (True, "off", False, False, 800, {"backend": "skewed:partitions=2"}),
+    (True, "off", False, False, 800, {"hierarchy": True}),
+    (False, "off", False, False, 600, {"hierarchy": True}),
+    (True, "off", False, False, 800, {"full_randomize": True}),
+    (True, "off", False, False, 800, {"shared_page_prob": 0.5}),
 ]
 
-assert sum(case[-1] for case in MATRIX) >= 10_000
+assert sum(case[4] for case in MATRIX) >= 10_000
+
+
+def _case_id(ddio, faults, partition, randomize, extra) -> str:
+    base = f"ddio={ddio}-faults={faults}-part={partition}-rand={randomize}"
+    return "-".join([base] + [f"{k}={v}" for k, v in extra.items()])
 
 
 @pytest.mark.parametrize(
-    "ddio,faults,partition,randomize,n_frames",
+    "ddio,faults,partition,randomize,n_frames,extra",
     MATRIX,
-    ids=[
-        f"ddio={d}-faults={f}-part={p}-rand={r}" for d, f, p, r, _ in MATRIX
-    ],
+    ids=[_case_id(d, f, p, r, x) for d, f, p, r, _, x in MATRIX],
 )
-def test_rx_datapath_equivalence(ddio, faults, partition, randomize, n_frames):
+def test_rx_datapath_equivalence(
+    ddio, faults, partition, randomize, n_frames, extra
+):
     seed = (
         1000 * ddio
         + 100 * (faults == "heavy")
         + 10 * partition
         + randomize
+        + (zlib.crc32(repr(extra).encode()) if extra else 0)
     )
-    legacy = build_machine(True, ddio, faults, partition, randomize)
-    batched = build_machine(False, ddio, faults, partition, randomize)
+    legacy = build_machine(True, ddio, faults, partition, randomize, **extra)
+    batched = build_machine(False, ddio, faults, partition, randomize, **extra)
     trace_a = run_workload(legacy, seed, n_frames)
     trace_b = run_workload(batched, seed, n_frames)
     assert trace_a == trace_b, "probe latency traces diverged"
